@@ -141,6 +141,16 @@ def choices_to_csv(c: ChoiceSequence) -> str:
     return buf.getvalue()
 
 
+_CSV_COLUMNS = ("k", "x_index", "y_index", "chose_x", "chose_y")
+
+
+def _int_row(row: dict, line: int) -> tuple[int, ...]:
+    try:
+        return tuple(int(row[name]) for name in _CSV_COLUMNS)
+    except (TypeError, ValueError):
+        raise DomainError(f"choice CSV line {line} needs an integer in every column") from None
+
+
 def choices_from_csv(text: str, space: OrderedSpace, mode: str) -> tuple[ExperimentSequence, ChoiceSequence]:
     """Rebuild an experiment and its choices from interchange CSV.
 
@@ -150,18 +160,17 @@ def choices_from_csv(text: str, space: OrderedSpace, mode: str) -> tuple[Experim
     if mode not in (STRONG, WEAK):
         raise ConfigurationError(f"unknown mode {mode!r}")
     reader = csv.DictReader(io.StringIO(text))
-    required = {"k", "x_index", "y_index", "chose_x", "chose_y"}
+    required = set(_CSV_COLUMNS)
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise DomainError(f"choice CSV needs columns {sorted(required)}")
-    rows = sorted(reader, key=lambda r: int(r["k"]))
+    rows = sorted((_int_row(row, reader.line_num) for row in reader), key=lambda row: row[0])
     pairs, choices, seen = [], [], set()
-    for row in rows:
-        x, y = int(row["x_index"]), int(row["y_index"])
+    for k, x, y, chose_x, chose_y in rows:
         if not (0 <= x < space.num_points and 0 <= y < space.num_points) or x == y:
-            raise DomainError(f"bad pair ({x}, {y}) at k={row['k']}")
-        chosen = tuple(p for p, flag in ((x, row["chose_x"]), (y, row["chose_y"])) if int(flag))
+            raise DomainError(f"bad pair ({x}, {y}) at k={k}")
+        chosen = tuple(p for p, flag in ((x, chose_x), (y, chose_y)) if flag)
         if not chosen:
-            raise DomainError(f"empty choice at k={row['k']}")
+            raise DomainError(f"empty choice at k={k}")
         pairs.append((x, y))
         choices.append(chosen)
         seen.update((x, y))

@@ -66,38 +66,60 @@ class RevealedEdge:
     pair_index: int | None = None  # 1-based position of the generating pair
 
 
-@dataclass(frozen=True)
+_SOURCES = (DATA, MONOTONICITY)  # RevealedRelation.source holds positions in this tuple
+
+
+@dataclass(frozen=True, eq=False)
 class RevealedRelation:
-    """Weak and strict revealed edges over a space, with per-edge provenance."""
+    """Weak and strict revealed edges over a space, with per-edge provenance.
+
+    Edge i lives in parallel arrays: point x[i] is revealed weakly above
+    point y[i], strictly when strict[i]; source[i] is its position in
+    (data, monotonicity), and pair_index[i] the 1-based position of the
+    pair that first revealed it (0 for monotonicity edges). Edges are unique
+    by (x, y, strict, source): data edges in the order the pairs reveal
+    them, then the monotonicity edges. `edges` is a view derived from the
+    arrays.
+    """
 
     space: OrderedSpace
-    edges: tuple[RevealedEdge, ...]
+    x: np.ndarray
+    y: np.ndarray
+    strict: np.ndarray
+    source: np.ndarray
+    pair_index: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.x, self.y, self.strict, self.source, self.pair_index):
+            column.setflags(write=False)
+
+    @cached_property
+    def edges(self) -> tuple[RevealedEdge, ...]:
+        columns = (a.tolist() for a in (self.x, self.y, self.strict, self.source, self.pair_index))
+        return tuple(RevealedEdge(x, y, strict, _SOURCES[source], k or None)
+                     for x, y, strict, source, k in zip(*columns))
 
     @property
     def weak_edges(self) -> set[tuple[int, int]]:
-        return {(e.x, e.y) for e in self.edges if not e.strict}
+        return set(zip(self.x[~self.strict].tolist(), self.y[~self.strict].tolist()))
 
     @property
     def strict_edges(self) -> set[tuple[int, int]]:
-        return {(e.x, e.y) for e in self.edges if e.strict}
+        return set(zip(self.x[self.strict].tolist(), self.y[self.strict].tolist()))
 
     @cached_property
     def arc_matrix(self) -> np.ndarray:
         """All edges as one adjacency matrix: [i, j] iff i revealed at-least j."""
-        n = self.space.num_points
-        m = np.zeros((n, n), dtype=bool)
-        for e in self.edges:
-            m[e.x, e.y] = True
-        m.setflags(write=False)
-        return m
+        return self._matrix(slice(None))
 
     @cached_property
     def strict_matrix(self) -> np.ndarray:
+        return self._matrix(self.strict)
+
+    def _matrix(self, keep) -> np.ndarray:
         n = self.space.num_points
         m = np.zeros((n, n), dtype=bool)
-        for e in self.edges:
-            if e.strict:
-                m[e.x, e.y] = True
+        m[self.x[keep], self.y[keep]] = True
         m.setflags(write=False)
         return m
 
@@ -105,11 +127,12 @@ class RevealedRelation:
     def condensation(self) -> "_Condensation":
         return _condense(self)
 
-    def data_edges(self) -> list[RevealedEdge]:
-        return [e for e in self.edges if e.source == DATA]
+    def data_edges(self) -> np.ndarray:
+        """Mask of the edges revealed by the data."""
+        return self.source == _SOURCES.index(DATA)
 
     def has_monotone_edges(self) -> bool:
-        return any(e.source == MONOTONICITY for e in self.edges)
+        return not self.data_edges().all()
 
 
 @dataclass(frozen=True)
@@ -143,6 +166,29 @@ class ConsistencyResult:
     witness: tuple[int, ...] | None = None
 
 
+def _choice_arrays(e: ExperimentSequence, c: ChoiceSequence) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs as a (k, 2) array, and a (k, 2) mask of their chosen elements.
+
+    Every choice must be a nonempty subset of its pair.
+    """
+    k = len(e.pairs)
+    if k != len(c.choices):
+        raise DomainError("experiment and choices have different lengths")
+    pairs = np.fromiter(itertools.chain.from_iterable(e.pairs), dtype=np.int64, count=2 * k).reshape(k, 2)
+    sizes = np.fromiter(map(len, c.choices), dtype=np.int64, count=k)
+    chosen = np.fromiter(itertools.chain.from_iterable(c.choices), dtype=np.int64, count=sizes.sum())
+    owner = np.repeat(np.arange(k), sizes)
+    hits = chosen[:, None] == pairs[owner]
+    chose = np.zeros((k, 2), dtype=bool)
+    chose[owner[hits[:, 0]], 0] = True
+    chose[owner[hits[:, 1]], 1] = True
+    bad = ~chose.any(axis=1)
+    bad[owner[~hits.any(axis=1)]] = True
+    if bad.any():
+        raise DomainError(f"choice at k={bad.argmax() + 1} is empty or not a subset of its pair")
+    return pairs, chose
+
+
 def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monotone: str = "none") -> RevealedRelation:
     """Revealed comparisons from the data plus optional monotonicity edges.
 
@@ -156,84 +202,79 @@ def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monot
         raise ConfigurationError(f"unknown mode {mode!r}")
     if monotone not in ("none", "weak", "strict"):
         raise ConfigurationError(f"unknown monotone class {monotone!r}")
-    if len(e.pairs) != len(c.choices):
-        raise DomainError("experiment and choices have different lengths")
-    edges: dict[tuple, RevealedEdge] = {}
-
-    def add(x, y, strict, source, k=None):
-        key = (x, y, strict, source)
-        if key not in edges:
-            edges[key] = RevealedEdge(int(x), int(y), strict, source, k)
-
-    for k, ((x, y), chosen) in enumerate(zip(e.pairs, c.choices), start=1):
-        others = {x, y}
-        if not set(chosen) <= others:
-            raise DomainError(f"choice at k={k} is not a subset of its pair")
-        if mode == WEAK:
-            for z in chosen:
-                for w in others - {z}:
-                    add(z, w, False, DATA, k)
-        else:
-            if len(set(chosen)) == 1:
-                z = chosen[0]
-                (w,) = others - {z}
-                add(z, w, True, DATA, k)
-            else:
-                add(x, y, False, DATA, k)
-                add(y, x, False, DATA, k)
+    pairs, chose = _choice_arrays(e, c)
+    n = e.space.num_points
+    # slot 2i reveals x over y when pair i's x is chosen, slot 2i + 1 y over x
+    revealed = np.flatnonzero(chose)
+    pair = revealed // 2
+    tail, head = pairs.ravel()[revealed], pairs[:, ::-1].ravel()[revealed]
+    strict = (mode == STRONG) & (chose.sum(axis=1) == 1)[pair]
+    # a comparison revealed again keeps the pair that revealed it first
+    _, first = np.unique((tail * n + head) * 2 + strict, return_index=True)
+    first.sort()
+    columns = [(tail[first], head[first], strict[first], pair[first] + 1)]
+    orders = []
     if monotone in ("weak", "strict"):
-        w = e.space.weak_order
-        ii, jj = np.nonzero(w & ~np.eye(e.space.num_points, dtype=bool))
-        for i, j in zip(ii, jj):
-            add(i, j, False, MONOTONICITY)
+        orders.append((False, e.space.weak_order & ~np.eye(n, dtype=bool)))
     if monotone == "strict":
-        ii, jj = np.nonzero(e.space.strict_order)
-        for i, j in zip(ii, jj):
-            add(i, j, True, MONOTONICITY)
-    return RevealedRelation(e.space, tuple(edges.values()))
+        orders.append((True, e.space.strict_order))
+    for is_strict, order in orders:
+        ii, jj = np.nonzero(order)
+        columns.append((ii, jj, np.full(len(ii), is_strict), np.zeros(len(ii), dtype=np.int64)))
+    x, y, strict, pair_index = (np.concatenate(column) for column in zip(*columns))
+    source = (pair_index == 0).astype(np.int8)  # only data edges have a pair
+    return RevealedRelation(e.space, x, y, strict, source, pair_index)
 
 
 @dataclass(frozen=True)
 class _Condensation:
     labels: np.ndarray            # point index -> component id
     num_comps: int
-    weak_arcs: frozenset          # (cu, cv): cu at-least cv, between distinct comps
-    strict_arcs: frozenset
+    arc_u: np.ndarray             # arcs between distinct components, unique and sorted:
+    arc_v: np.ndarray             # component arc_u[i] at-least component arc_v[i],
+    arc_strict: np.ndarray        # strictly when some strict edge gives the arc
     strict_inside: tuple          # strict edges whose endpoints share a component
 
     @cached_property
-    def waiters(self) -> dict:
-        # waiters[cv] = components with an arc into cv (they place after cv)
-        out: dict[int, list[int]] = {}
-        for cu, cv in sorted(self.weak_arcs | self.strict_arcs):
-            out.setdefault(cv, []).append(cu)
-        return out
+    def below(self) -> list[list[tuple[int, bool]]]:
+        # below[cu] = (cv, strict) for each arc out of cu
+        return _group(self.num_comps, self.arc_u, self.arc_v, self.arc_strict)
 
     @cached_property
-    def out_counts(self) -> np.ndarray:
-        counts = np.zeros(self.num_comps, dtype=int)
-        seen = set()
-        for cu, cv in self.weak_arcs | self.strict_arcs:
-            if (cu, cv) not in seen:
-                seen.add((cu, cv))
-                counts[cu] += 1
-        return counts
+    def above(self) -> list[list[tuple[int, bool]]]:
+        # above[cv] = (cu, strict) for each arc into cv, cu ascending; they place after cv
+        by_head = np.lexsort((self.arc_u, self.arc_v))
+        return _group(self.num_comps, self.arc_v[by_head], self.arc_u[by_head], self.arc_strict[by_head])
+
+    @cached_property
+    def strict_near(self) -> list[set[int]]:
+        # components joined to each component by a strict arc, either way
+        return [{comp for comp, strict in down + up if strict} for down, up in zip(self.below, self.above)]
+
+    @cached_property
+    def order(self) -> list[int]:
+        return list(_topological(self, lambda ready: -1))
+
+
+def _group(num: int, key: np.ndarray, other: np.ndarray, strict: np.ndarray) -> list[list[tuple[int, bool]]]:
+    """Per-component lists of (other, strict), from arcs sorted by key."""
+    items = list(zip(other.tolist(), strict.tolist()))
+    bounds = np.searchsorted(key, np.arange(num + 1)).tolist()
+    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _condense(r: RevealedRelation) -> _Condensation:
     n = r.space.num_points
     adj = csr_matrix(r.arc_matrix.astype(np.int8), shape=(n, n))
     num, labels = connected_components(adj, directed=True, connection="strong")
-    weak_arcs, strict_arcs, inside = set(), set(), []
-    for e in r.edges:
-        cu, cv = int(labels[e.x]), int(labels[e.y])
-        if cu == cv:
-            if e.strict:
-                inside.append((e.x, e.y))
-            continue
-        (strict_arcs if e.strict else weak_arcs).add((cu, cv))
-    weak_arcs -= strict_arcs
-    return _Condensation(labels, num, frozenset(weak_arcs), frozenset(strict_arcs), tuple(inside))
+    cu, cv = labels[r.x], labels[r.y]
+    inside = cu == cv
+    strict_inside = tuple(zip(r.x[inside & r.strict].tolist(), r.y[inside & r.strict].tolist()))
+    # one arc per ordered pair of components, strict when any of its edges is
+    arcs, arc_of_edge = np.unique(cu[~inside].astype(np.int64) * num + cv[~inside], return_inverse=True)
+    arc_strict = np.zeros(len(arcs), dtype=bool)
+    arc_strict[arc_of_edge[r.strict[~inside]]] = True
+    return _Condensation(labels, num, arcs // num, arcs % num, arc_strict, strict_inside)
 
 
 def check_consistency(r: RevealedRelation) -> ConsistencyResult:
@@ -246,13 +287,9 @@ def check_consistency(r: RevealedRelation) -> ConsistencyResult:
     cond = r.condensation
     if not cond.strict_inside:
         return ConsistencyResult(True, None)
-    n = r.space.num_points
-    adj_lists = [sorted(np.nonzero(r.arc_matrix[i])[0].tolist()) for i in range(n)]
-    rev_lists: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in adj_lists[i]:
-            rev_lists[j].append(i)
-    best: tuple[int, tuple[int, ...]] | None = None
+    adj_lists = [np.flatnonzero(row).tolist() for row in r.arc_matrix]
+    rev_lists = [np.flatnonzero(col).tolist() for col in r.arc_matrix.T]
+    cycles = []
     for u, v in sorted(cond.strict_inside):
         # shortest forward distance to u, by breadth-first search on reversed arcs
         dist = {u: 0}
@@ -265,79 +302,50 @@ def check_consistency(r: RevealedRelation) -> ConsistencyResult:
                         dist[p] = dist[node] + 1
                         nxt.append(p)
             frontier = nxt
-        if v not in dist:
-            continue
+        # v reaches u inside their component, so the search always finds it
         path = [v]
         cur = v
         while cur != u:
             cur = min(w for w in adj_lists[cur] if dist.get(w) == dist[cur] - 1)
             path.append(cur)
-        cycle = (u, *path)
-        cand = (len(cycle), cycle)
-        if best is None or cand < best:
-            best = cand
-    if best is None:  # unreachable: strict edge inside a component always closes
-        return ConsistencyResult(True, None)
-    return ConsistencyResult(False, best[1])
+        cycles.append((u, *path))
+    return ConsistencyResult(False, min(cycles, key=lambda cycle: (len(cycle), cycle)))
 
 
-def _comp_ranks_min_height(cond: _Condensation) -> np.ndarray:
-    """Lowest rank assignment: each component sits just above what it must beat."""
-    ranks = np.zeros(cond.num_comps, dtype=np.int64)
-    remaining = cond.out_counts.copy()
-    ready = sorted(np.nonzero(remaining == 0)[0].tolist())
-    arcs = {}
-    for cu, cv in cond.weak_arcs:
-        arcs.setdefault(cu, {})[cv] = 0
-    for cu, cv in cond.strict_arcs:
-        arcs.setdefault(cu, {})[cv] = 1
-    order = []
+def _topological(cond: _Condensation, pick):
+    """Components, each after every component it is revealed at least.
+
+    `pick(ready)` gives the position in `ready` of the component taken
+    next. `ready` starts with the components that beat nothing, ascending;
+    a taken component releases the components above it in ascending order.
+    """
+    remaining = [len(arcs) for arcs in cond.below]
+    ready = [comp for comp, count in enumerate(remaining) if count == 0]
     while ready:
-        comp = ready.pop()
-        order.append(comp)
-        lift = 0
-        for cv, w in arcs.get(comp, {}).items():
-            lift = max(lift, ranks[cv] + w)
-        ranks[comp] = lift
-        for waiter in cond.waiters.get(comp, []):
+        comp = ready.pop(pick(ready))
+        yield comp
+        for waiter, _ in cond.above[comp]:
             remaining[waiter] -= 1
             if remaining[waiter] == 0:
                 ready.append(waiter)
-    if len(order) != cond.num_comps:
-        raise PreconditionError("component graph has a cycle; run check_consistency first")
-    return ranks
 
 
-def _comp_ranks_max_height(cond: _Condensation) -> np.ndarray:
+def _heights(order, arcs: list[list[tuple[int, bool]]]) -> np.ndarray:
+    """Longest path along `arcs` from each component, a strict arc counting 1; `order` puts arc ends first."""
+    height = [0] * len(arcs)
+    for comp in order:
+        height[comp] = max([height[end] + strict for end, strict in arcs[comp]], default=0)
+    return np.array(height, dtype=np.int64)
+
+
+def _min_height(cond: _Condensation) -> np.ndarray:
+    """Lowest rank assignment: each component sits just above what it must beat."""
+    return _heights(cond.order, cond.below)
+
+
+def _max_height(cond: _Condensation) -> np.ndarray:
     """Highest rank assignment: each component sits just below what beats it."""
-    depth = np.zeros(cond.num_comps, dtype=np.int64)
-    into: dict[int, dict[int, int]] = {}
-    for cu, cv in cond.weak_arcs:
-        into.setdefault(cv, {})[cu] = 0
-    for cu, cv in cond.strict_arcs:
-        into.setdefault(cv, {})[cu] = 1
-    # process tops first: reverse of the min-height order works on the same DAG
-    remaining = np.zeros(cond.num_comps, dtype=int)
-    for cv, srcs in into.items():
-        remaining[cv] = len(srcs)
-    ready = sorted(np.nonzero(remaining == 0)[0].tolist())
-    fanout: dict[int, list[int]] = {}
-    for cu, cv in cond.weak_arcs | cond.strict_arcs:
-        fanout.setdefault(cu, []).append(cv)
-    order = []
-    while ready:
-        comp = ready.pop()
-        order.append(comp)
-        d = 0
-        for cu, w in into.get(comp, {}).items():
-            d = max(d, depth[cu] + w)
-        depth[comp] = d
-        for below in fanout.get(comp, []):
-            remaining[below] -= 1
-            if remaining[below] == 0:
-                ready.append(below)
-    if len(order) != cond.num_comps:
-        raise PreconditionError("component graph has a cycle; run check_consistency first")
+    depth = _heights(reversed(cond.order), cond.above)
     return depth.max() - depth
 
 
@@ -345,14 +353,6 @@ def _require_consistent(r: RevealedRelation) -> None:
     res = check_consistency(r)
     if not res.consistent:
         raise PreconditionError(f"data is not rationalizable; witness cycle {res.witness}")
-
-
-def _ranks_to_preference(r: RevealedRelation, comp_ranks: np.ndarray) -> Preference:
-    return Preference(r.space, comp_ranks[r.condensation.labels])
-
-
-def _canonical(r: RevealedRelation) -> Preference:
-    return _ranks_to_preference(r, _comp_ranks_min_height(r.condensation))
 
 
 def sample_extension(r: RevealedRelation, rng, merge_prob: float = 0.5) -> Preference:
@@ -368,35 +368,16 @@ def sample_extension(r: RevealedRelation, rng, merge_prob: float = 0.5) -> Prefe
     cond = r.condensation
     if cond.strict_inside:
         raise PreconditionError("data is not rationalizable")
-    remaining = cond.out_counts.copy()
-    ready = sorted(np.nonzero(remaining == 0)[0].tolist())
-    strict_pairs = cond.strict_arcs
-    blocks: list[list[int]] = []
-    placed = 0
-    while ready:
-        comp = ready.pop(int(rng.integers(len(ready))))
-        placed += 1
-        can_merge = blocks and rng.random() < merge_prob
-        if can_merge:
-            for member in blocks[-1]:
-                if (comp, member) in strict_pairs or (member, comp) in strict_pairs:
-                    can_merge = False
-                    break
-        if can_merge:
-            blocks[-1].append(comp)
+    strict_near = cond.strict_near
+    levels = [0] * cond.num_comps
+    block, level = [], -1
+    for comp in _topological(cond, lambda ready: int(rng.integers(len(ready)))):
+        if block and rng.random() < merge_prob and strict_near[comp].isdisjoint(block):
+            block.append(comp)
         else:
-            blocks.append([comp])
-        for waiter in cond.waiters.get(comp, []):
-            remaining[waiter] -= 1
-            if remaining[waiter] == 0:
-                ready.append(waiter)
-    if placed != cond.num_comps:
-        raise PreconditionError("component graph has a cycle; run check_consistency first")
-    comp_ranks = np.zeros(cond.num_comps, dtype=np.int64)
-    for level, block in enumerate(blocks):
-        for comp in block:
-            comp_ranks[comp] = level
-    return _ranks_to_preference(r, comp_ranks)
+            block, level = [comp], level + 1
+        levels[comp] = level
+    return Preference(r.space, np.array(levels, dtype=np.int64)[cond.labels])
 
 
 def adversarial_far_extension(
@@ -407,10 +388,12 @@ def adversarial_far_extension(
 ) -> tuple[Preference, bool]:
     """Search the rationalization set for a preference far from `target`.
 
-    Seeded restarts of sample_extension steered by hill-climbing on the
-    merge probability; returns (best preference found, budget_exhausted).
-    The second element is True when the iteration budget ran out while
-    improvements were still being found.
+    Seeded random draws of sample_extension, each with a merge probability
+    drawn uniformly from (0, 0.15, 0.4, 0.7, 0.9), keeping the draw farthest
+    from the target. The search stops after max(50, budget // 4) draws
+    without improvement, or once the best distance reaches the diameter of
+    the space. Returns (best preference found, budget_exhausted); the flag
+    is True when the budget ran out before either stop.
     """
     _require_consistent(r)
     rng = np.random.default_rng(seed)
@@ -439,7 +422,7 @@ def extend_preference(r: RevealedRelation, policy: RationalizationPolicy) -> Pre
     """Extend consistent revealed data to a full preference under a policy."""
     _require_consistent(r)
     if policy.tag == "canonical":
-        return _canonical(r)
+        return Preference(r.space, _min_height(r.condensation)[r.condensation.labels])
     if policy.tag == "adversarial_indifference":
         if r.has_monotone_edges():
             raise ConfigurationError("the indifference construction cannot respect monotonicity edges")
@@ -495,88 +478,44 @@ def _partition_axis(num_levels: int, data_levels: list[int], max_len: int) -> li
     return runs
 
 
-def _heights_of_subgraph(num_nodes: int, arcs: list[tuple[int, int, bool]]) -> np.ndarray:
-    """Minimal-height ranks of an arbitrary small arc list (u at-least v)."""
-    adj = np.zeros((num_nodes, num_nodes), dtype=bool)
-    for u, v, _ in arcs:
-        adj[u, v] = True
-    num, labels = connected_components(csr_matrix(adj.astype(np.int8)), directed=True, connection="strong")
-    lift: dict[int, dict[int, int]] = {}
-    for u, v, strict in arcs:
-        cu, cv = int(labels[u]), int(labels[v])
-        if cu == cv:
-            if strict:
-                raise PreconditionError("data is not rationalizable")
-            continue
-        lift.setdefault(cu, {})
-        lift[cu][cv] = max(lift[cu].get(cv, 0), int(strict))
-    out_count = np.zeros(num, dtype=int)
-    waiters: dict[int, list[int]] = {}
-    for cu, targets in lift.items():
-        out_count[cu] = len(targets)
-        for cv in targets:
-            waiters.setdefault(cv, []).append(cu)
-    ranks = np.zeros(num, dtype=np.int64)
-    ready = sorted(np.nonzero(out_count == 0)[0].tolist())
-    done = 0
-    while ready:
-        comp = ready.pop()
-        done += 1
-        ranks[comp] = max((ranks[cv] + w for cv, w in lift.get(comp, {}).items()), default=0)
-        for waiter in waiters.get(comp, []):
-            out_count[waiter] -= 1
-            if out_count[waiter] == 0:
-                ready.append(waiter)
-    if done != num:
-        raise PreconditionError("data is not rationalizable")
-    return ranks[labels]
-
-
 def _indifference_from_relation(r: RevealedRelation) -> Preference:
     space = r.space
     if space.kind != "euclidean_grid":
         raise ConfigurationError("the indifference construction needs a euclidean grid space")
     data = r.data_edges()
-    stage = max((e.pair_index or 1 for e in data), default=1)
+    stage = int(r.pair_index[data].max(initial=1))
     desc = space.descriptor
     dims, res = desc["dims"], desc["resolution"]
     bounds = np.asarray(desc["bounds"], dtype=float)
     steps = (bounds[:, 1] - bounds[:, 0]) / (res - 1)
     cell_diameter = max(1.0 / (2.0 * stage), 2.0 * float(steps.max()))
 
-    data_nodes = sorted({e.x for e in data} | {e.y for e in data})
-    node_pos = {node: i for i, node in enumerate(data_nodes)}
-    local_arcs = [(node_pos[e.x], node_pos[e.y], e.strict) for e in data]
+    data_nodes = np.unique(np.concatenate([r.x[data], r.y[data]])).tolist()
     if data_nodes:
-        local = _heights_of_subgraph(len(data_nodes), local_arcs)
-        top = max(int(local.max()), 1)
-        anchor_vals = {node: (2.0 * local[i] - local.max()) / top for node, i in node_pos.items()}
+        heights = _min_height(r.condensation)[r.condensation.labels[data_nodes]]
+        top = max(int(heights.max()), 1)
+        anchor_vals = {node: (2.0 * h - heights.max()) / top for node, h in zip(data_nodes, heights)}
     else:
         anchor_vals = {}
 
     levels = np.array(np.unravel_index(np.arange(space.num_points), (res,) * dims)).T
-    axis_runs, level_to_run = [], []
+    axis_runs, run_of_point = [], []
     for d in range(dims):
         max_len = max(3, int(cell_diameter / steps[d] + 1e-9) + 1)
-        data_levels = [int(levels[node, d]) for node in data_nodes]
-        runs = _partition_axis(res, data_levels, max_len)
+        runs = _partition_axis(res, levels[data_nodes, d].tolist(), max_len)
         axis_runs.append(runs)
-        lookup = np.empty(res, dtype=int)
-        for rid, (lo, hi) in enumerate(runs):
-            lookup[lo:hi + 1] = rid
-        level_to_run.append(lookup)
+        run_of_level = np.repeat(np.arange(len(runs)), [hi - lo + 1 for lo, hi in runs])
+        run_of_point.append(run_of_level[levels[:, d]].tolist())
+    cell_of_point = list(zip(*run_of_point))
 
     cells: dict[tuple, list[int]] = {}
-    for idx in range(space.num_points):
-        key = tuple(int(level_to_run[d][levels[idx, d]]) for d in range(dims))
+    for idx, key in enumerate(cell_of_point):
         cells.setdefault(key, []).append(idx)
-    cell_of_node = {}
+    occupied = {}
     for node in data_nodes:
-        key = tuple(int(level_to_run[d][levels[node, d]]) for d in range(dims))
-        if key in cell_of_node.values():
+        if cell_of_point[node] in occupied:
             raise ResolutionError("two observed alternatives share a cell; refine the grid")
-        cell_of_node[node] = key
-    occupied = {key: node for node, key in cell_of_node.items()}
+        occupied[cell_of_point[node]] = node
 
     axes = [np.linspace(bounds[d, 0], bounds[d, 1], res) for d in range(dims)]
     values = np.zeros(space.num_points)
@@ -635,9 +574,12 @@ class LipschitzResult:
 
 
 def _unique_edges(r: RevealedRelation) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    strict = sorted(r.strict_edges)
-    weak = sorted(r.weak_edges - r.strict_edges)
-    return weak, strict
+    """Sorted (x, y) pairs of the weak edges that no strict edge repeats, and of the strict edges."""
+    n = r.space.num_points
+    keys = r.x * n + r.y
+    strict = np.unique(keys[r.strict])
+    weak = np.setdiff1d(keys[~r.strict], strict)
+    return tuple(list(zip((k // n).tolist(), (k % n).tolist())) for k in (weak, strict))
 
 
 def _solve_margin_lp(diffs_weak: np.ndarray, diffs_strict: np.ndarray, num_vars: int,
@@ -843,48 +785,40 @@ def rationalizes(p: Preference, e: ExperimentSequence, c: ChoiceSequence) -> boo
     Weak mode asks that every observed choice be optimal; strong mode asks
     that the observed set equal the optimal set.
     """
-    for (x, y), chosen in zip(e.pairs, c.choices):
-        optimal = set(p.optimal_of((x, y)))
-        if c.mode == STRONG:
-            if set(chosen) != optimal:
-                return False
-        else:
-            if not set(chosen) <= optimal:
-                return False
-    return True
+    return bool(_replay_mask(p.rank[None, :], e, c)[0])
+
+
+def _preorder_blocks(n: int):
+    """Every total preorder on n points as dense rank rows, in lexicographic order, block by block."""
+    block, total = 1 << 18, n**n
+    for start in range(0, total, block):
+        flat = np.arange(start, min(start + block, total))
+        rows = np.array(np.unravel_index(flat, (n,) * n), dtype=np.int8).T
+        present = np.zeros((rows.shape[0], n), dtype=bool)
+        present[np.arange(rows.shape[0])[:, None], rows] = True
+        yield rows[present.sum(axis=1) == rows.max(axis=1).astype(np.int64) + 1]
 
 
 def all_total_preorders(n: int) -> np.ndarray:
     """Every total preorder on n points, as dense rank rows (higher = better)."""
     if n > 7:
         raise CapacityError("full enumeration is limited to 7 points")
-    grid = np.array(list(itertools.product(range(n), repeat=n)), dtype=np.int8)
-    maxv = grid.max(axis=1).astype(np.int64)
-    present = np.zeros((grid.shape[0], n), dtype=bool)
-    present[np.arange(grid.shape[0])[:, None], grid.astype(np.int64)] = True
-    keep = present.sum(axis=1) == maxv + 1
-    return grid[keep]
+    return np.concatenate(list(_preorder_blocks(n)))
 
 
 def _replay_mask(ranks: np.ndarray, e: ExperimentSequence, c: ChoiceSequence) -> np.ndarray:
-    """Boolean row filter: which rank rows rationalize the data."""
-    ok = np.ones(ranks.shape[0], dtype=bool)
-    for (x, y), chosen in zip(e.pairs, c.choices):
-        cx, cy = ranks[:, x].astype(np.int64), ranks[:, y].astype(np.int64)
-        chose = set(chosen)
-        if c.mode == STRONG:
-            if chose == {x, y}:
-                ok &= cx == cy
-            elif chose == {x}:
-                ok &= cx > cy
-            else:
-                ok &= cy > cx
-        else:
-            if x in chose:
-                ok &= cx >= cy
-            if y in chose:
-                ok &= cy >= cx
-    return ok
+    """Boolean row filter: which rank rows rationalize the data.
+
+    A chosen element must be at least as good as its opponent; in strong
+    mode an element left out must not be.
+    """
+    pairs, chose = _choice_arrays(e, c)
+    rank_x, rank_y = ranks[:, pairs[:, 0]], ranks[:, pairs[:, 1]]
+    if c.mode == STRONG:
+        ok = ((rank_x >= rank_y) == chose[:, 0]) & ((rank_y >= rank_x) == chose[:, 1])
+    else:
+        ok = ((rank_x >= rank_y) | ~chose[:, 0]) & ((rank_y >= rank_x) | ~chose[:, 1])
+    return ok.all(axis=1)
 
 
 def brute_force_rationalizations(e: ExperimentSequence, c: ChoiceSequence) -> np.ndarray:
@@ -952,31 +886,17 @@ def diameter_estimate(
         raise ConfigurationError(f"unknown policy class {policy_class!r}")
     space = e.space
     r = revealed_relation(e, c, c.mode, monotone=_POLICY_CLASSES[policy_class])
-    res = check_consistency(r)
-    if not res.consistent:
-        raise PreconditionError(f"data is not rationalizable; witness cycle {res.witness}")
+    _require_consistent(r)
     n = space.num_points
     if policy_class == "all" and n <= 8:
         if n <= 7:
             ranks = brute_force_rationalizations(e, c)
         else:
-            kept = []
-            block = 1 << 18
-            for start in range(0, n**n, block):
-                flat = np.arange(start, min(start + block, n**n))
-                rows = np.array(np.unravel_index(flat, (n,) * n)).T.astype(np.int8)
-                maxv = rows.max(axis=1).astype(np.int64)
-                present = np.zeros((rows.shape[0], n), dtype=bool)
-                present[np.arange(rows.shape[0])[:, None], rows.astype(np.int64)] = True
-                rows = rows[present.sum(axis=1) == maxv + 1]
-                rows = rows[_replay_mask(rows, e, c)]
-                if rows.size:
-                    kept.append(rows)
-            ranks = np.concatenate(kept) if kept else np.zeros((0, n), dtype=np.int8)
+            ranks = np.concatenate([rows[_replay_mask(rows, e, c)] for rows in _preorder_blocks(n)])
         return DiameterResult(_set_diameter(space, ranks), "exact", int(ranks.shape[0]))
 
     cond = r.condensation
-    draws = [_comp_ranks_min_height(cond)[cond.labels], _comp_ranks_max_height(cond)[cond.labels]]
+    draws = [_min_height(cond)[cond.labels], _max_height(cond)[cond.labels]]
     rng = np.random.default_rng(seed)
     probs = [0.0, 0.25, 0.5, 0.85]
     for i in range(max(0, num_samples - len(draws))):

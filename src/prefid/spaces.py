@@ -414,6 +414,15 @@ def space_from_descriptor(desc: dict | str) -> OrderedSpace:
     """Rebuild a space from its descriptor (dict or JSON text)."""
     if isinstance(desc, str):
         desc = json.loads(desc)
+    if not isinstance(desc, dict):
+        raise ConfigurationError("a space descriptor must be a JSON object")
+    try:
+        return _space_of_kind(desc)
+    except KeyError as err:
+        raise ConfigurationError(f"space descriptor of kind {desc.get('kind')!r} lacks field {err}") from None
+
+
+def _space_of_kind(desc: dict) -> OrderedSpace:
     kind = desc.get("kind")
     if kind == "euclidean_grid":
         return make_grid_euclidean(desc["dims"], desc["resolution"], desc["bounds"])

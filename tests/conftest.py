@@ -51,3 +51,21 @@ def grid3():
 @pytest.fixture
 def chain6():
     return from_points(np.arange(6.0).reshape(-1, 1))
+
+
+def longest_path_ranks(num_points, edges):
+    """Lowest and highest ranks a revealed relation allows, by naive relaxation.
+
+    `edges` holds (x, y, strict): x revealed at least y, a strict edge
+    weighing 1 and a weak edge 0. The lowest rank of a point is the heaviest
+    path leaving it; its highest rank is the heaviest path anywhere minus
+    the heaviest path entering it. Consistent data has no cycle through a
+    strict edge, so num_points rounds reach every heaviest path.
+    """
+    out_of = [0] * num_points
+    into = [0] * num_points
+    for _ in range(num_points):
+        for x, y, strict in edges:
+            out_of[x] = max(out_of[x], out_of[y] + int(strict))
+            into[y] = max(into[y], into[x] + int(strict))
+    return out_of, [max(into) - depth for depth in into]

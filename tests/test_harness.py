@@ -288,6 +288,9 @@ class TestGallery:
         assert doc["ok"] is True
 
 
+CSV_HEADER = "k,x_index,y_index,chose_x,chose_y\n"
+
+
 @pytest.fixture
 def cli_space(tmp_path, line5):
     path = tmp_path / "space.json"
@@ -334,9 +337,26 @@ class TestCli:
         assert doc["consistent"] is False
         assert doc["witness_cycle"] == [0, 1, 2, 0]
 
-    def test_check_missing_file_exits_2(self, cli_space, tmp_path):
-        code = main(["check", "--data", str(tmp_path / "nope.csv"), "--space", cli_space, "--mode", "strong"])
+    @pytest.mark.parametrize("command, space_doc, csv_text", [
+        pytest.param(["check"], None, None, id="missing_file"),
+        pytest.param(["check"], {"kind": "euclidean_grid", "dims": 1, "resolution": 5}, CSV_HEADER + "1,0,1,0,1\n",
+                     id="descriptor_without_bounds"),
+        pytest.param(["check"], None, CSV_HEADER + "abc,0,1,0,1\n", id="k_not_integer"),
+        pytest.param(["check"], None, CSV_HEADER + "1,0,1\n", id="short_row"),
+        pytest.param(["diameter", "--samples", "-1"], None, CSV_HEADER + "1,0,1,0,1\n", id="negative_samples"),
+    ])
+    def test_check_missing_file_exits_2(self, cli_space, tmp_path, capsys, command, space_doc, csv_text):
+        # malformed input exits 2 with an error line, never a traceback
+        data = tmp_path / "choices.csv"
+        if csv_text is not None:
+            data.write_text(csv_text)
+        if space_doc is not None:
+            cli_space = str(tmp_path / "bad_space.json")
+            with open(cli_space, "w", encoding="utf-8") as fh:
+                json.dump(space_doc, fh)
+        code = main([*command, "--data", str(data), "--space", cli_space, "--mode", "strong"])
         assert code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_check_monotone_flag(self, cli_space, cli_choices, capsys):
         code = main([

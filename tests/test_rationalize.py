@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefid import (
     CapacityError,
@@ -28,6 +30,8 @@ from prefid import (
 )
 from prefid.preferences import closed_convergence_distance
 from prefid.rationalize import (
+    _max_height,
+    _min_height,
     RationalizationPolicy,
     adversarial_far_extension,
     all_total_preorders,
@@ -45,7 +49,7 @@ from prefid.rationalize import (
     sample_extension,
 )
 
-from conftest import brute_graph_distance, dataset
+from conftest import brute_graph_distance, dataset, longest_path_ranks
 
 
 def naive_preorders(n):
@@ -127,10 +131,19 @@ class TestRevealedRelation:
         assert r.strict_matrix[3, 0] and not r.strict_matrix[1, 2]
 
     def test_choice_outside_pair_rejected(self, line5):
-        e, c = dataset(line5, [(0, 3, (3,))], "weak")
-        bad = type(c)(e, ((4,),), "weak")
-        with pytest.raises(DomainError):
-            revealed_relation(e, bad, "weak")
+        # an empty choice, or one outside its pair, is read the same way by
+        # every reader of the data
+        flat = from_utility(line5, np.zeros(5))
+        for mode in ("weak", "strong"):
+            for chosen in ((4,), (3, 4), ()):
+                e, c = dataset(line5, [(0, 3, (3,))], mode)
+                bad = type(c)(e, (chosen,), mode)
+                with pytest.raises(DomainError):
+                    revealed_relation(e, bad, mode)
+                with pytest.raises(DomainError):
+                    rationalizes(flat, e, bad)
+                with pytest.raises(DomainError):
+                    brute_force_rationalizations(e, bad)
 
     def test_length_mismatch_rejected(self, line5):
         e, c = dataset(line5, [(0, 3, (3,)), (0, 1, (1,))], "weak")
@@ -231,6 +244,34 @@ class TestCanonicalExtension:
             extend_preference(revealed_relation(e, c, "strong"), RationalizationPolicy())
 
 
+class TestRankingKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_extremal_ranks_match_longest_path_oracle(self, data):
+        dims, res = data.draw(st.integers(1, 2)), data.draw(st.integers(2, 4))
+        g = make_grid_euclidean(dims, res, (0.0, 1.0))
+        monotone = data.draw(st.sampled_from(["none", "weak", "strict"]))
+        mode = data.draw(st.sampled_from(["strong", "weak"]))
+        if monotone == "none":
+            values = data.draw(st.lists(st.integers(0, 3), min_size=g.num_points, max_size=g.num_points))
+        else:
+            # integer level weights keep ties exact; positive weights respect
+            # strict dominance, zero weights only the weak order
+            low = 1 if monotone == "strict" else 0
+            weights = data.draw(st.lists(st.integers(low, 3), min_size=dims, max_size=dims))
+            values = np.rint(g.points * (res - 1)) @ np.array(weights)
+        truth = from_utility(g, np.asarray(values, dtype=float))
+        members = data.draw(st.lists(st.integers(0, g.num_points - 1), min_size=2, max_size=8, unique=True))
+        e = enumerate_pairs(dense_subset(g, members=sorted(members)), "shuffled", data.draw(st.integers(0, 99)))
+        c = generate_choices(truth, e, mode=mode, tie_policy="both" if mode == "strong" else "first")
+        r = revealed_relation(e, c, mode, monotone=monotone)
+        assert check_consistency(r).consistent
+        lowest, highest = longest_path_ranks(g.num_points, [(ed.x, ed.y, ed.strict) for ed in r.edges])
+        cond = r.condensation
+        assert _min_height(cond)[cond.labels].tolist() == lowest
+        assert _max_height(cond)[cond.labels].tolist() == highest
+
+
 class TestSampleExtension:
     def test_samples_rationalize(self, line5):
         e, c = dataset(line5, [(0, 3, (3,)), (1, 2, (1, 2))], "strong")
@@ -261,6 +302,57 @@ class TestSampleExtension:
         r = revealed_relation(e, c, "strong")
         with pytest.raises(PreconditionError):
             sample_extension(r, 0)
+
+
+class TestSeededGolden:
+    """Seeded sampler outputs pinned to fixed values.
+
+    They pin how the samplers consume the generator: ready components start
+    in ascending order, each step pops a uniformly drawn ready index, and
+    waiters are released in ascending component order.
+    """
+
+    @pytest.fixture
+    def grid_data(self):
+        g = make_grid_euclidean(2, 4, (0.0, 1.0))
+        truth = from_utility(g, np.round(g.points[:, 0] + g.points[:, 1], 6))
+        e = enumerate_pairs(dense_subset(g, members=[0, 3, 5, 6, 9, 12, 15]))
+        return truth, e, generate_choices(truth, e, mode="strong")
+
+    @pytest.mark.parametrize("monotone, expected", [
+        ("weak", [
+            [0, 1, 4, 6, 2, 3, 6, 9, 5, 6, 8, 10, 6, 7, 11, 12],
+            [0, 1, 2, 4, 3, 3, 4, 6, 4, 4, 4, 6, 4, 4, 5, 6],
+            [0, 0, 0, 2, 0, 1, 2, 2, 0, 2, 2, 3, 2, 2, 3, 3],
+        ]),
+        ("strict", [
+            [0, 1, 4, 6, 2, 3, 6, 9, 5, 6, 8, 10, 6, 7, 11, 12],
+            [0, 1, 2, 4, 3, 3, 4, 7, 4, 4, 5, 7, 4, 5, 6, 7],
+            [0, 0, 0, 2, 0, 1, 2, 2, 0, 2, 2, 3, 2, 2, 3, 3],
+        ]),
+    ])
+    def test_sample_extension_draws(self, grid_data, monotone, expected):
+        _, e, c = grid_data
+        r = revealed_relation(e, c, "strong", monotone=monotone)
+        rng = np.random.default_rng(11)
+        got = [sample_extension(r, rng, merge_prob=mp).rank.tolist() for mp in (0.0, 0.5, 0.9)]
+        assert got == expected
+
+    @pytest.mark.parametrize("policy_class, seed, candidates", [
+        ("weak_monotone", 0, 29), ("weak_monotone", 1, 27),
+        ("strict_monotone", 0, 30), ("strict_monotone", 1, 29),
+    ])
+    def test_sampled_diameter(self, grid_data, policy_class, seed, candidates):
+        _, e, c = grid_data
+        res = diameter_estimate(e, c, policy_class, num_samples=30, seed=seed)
+        assert (res.value, res.method, res.num_candidates) == (1.0 / 3.0, "sampled", candidates)
+
+    def test_adversarial_far_result(self, grid_data):
+        truth, e, c = grid_data
+        r = revealed_relation(e, c, "strong", monotone="weak")
+        far, exhausted = adversarial_far_extension(r, truth, seed=2, budget=400)
+        assert far.rank.tolist() == [0, 0, 1, 2, 0, 1, 2, 2, 1, 2, 2, 2, 2, 2, 2, 3]
+        assert exhausted is False
 
 
 class TestAdversarialFar:
