@@ -76,8 +76,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    if args.samples < 0:
-        raise ConfigurationError(f"--samples must be at least 0, got {args.samples}")
     space = _load_space(args.space)
     e, c = _load_choices(args.data, space, args.mode)
     try:

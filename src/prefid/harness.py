@@ -48,7 +48,7 @@ from .rationalize import (
     rationalizes,
     revealed_relation,
 )
-from .spaces import dense_subset, from_points, make_grid_euclidean, space_from_descriptor
+from .spaces import _int_field, dense_subset, from_points, make_grid_euclidean, space_from_descriptor
 from .utility import UtilityFunction, certainty_equivalent_utility, max_norm_distance
 
 __all__ = [
@@ -118,6 +118,30 @@ _CONFIG_KEYS = {
     "space", "generator", "schedule", "mode", "tie_policy", "policy",
     "subset", "k_grid", "diameter", "utility_distance", "output_dir",
 }
+# the integer fields of each config section, with their least allowed value
+_SECTION_INTS = {
+    "schedule": (("seed", 0),),
+    "policy": (("seed", 0), ("budget", 0)),
+    "subset": (("stride", 1),),
+    "diameter": (("num_samples", 0), ("seed", 0)),
+}
+
+
+def _check_section(doc: dict, key: str) -> None:
+    if key not in doc or (key == "diameter" and doc[key] is None):
+        return
+    section = doc[key]
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config {key!r} must be an object")
+    for name, minimum in _SECTION_INTS[key]:
+        if name in section:
+            _int_field(f"{key}.{name}", section[name], minimum)
+
+
+def _int_list(where: str, value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{where} must be a list of integers")
+    return tuple(_int_field(f"{where} entry", v) for v in value)
 
 
 @dataclass(frozen=True)
@@ -147,9 +171,16 @@ class ExperimentConfig:
         mode = doc.get("mode", STRONG)
         if mode not in (STRONG, WEAK):
             raise ConfigurationError(f"unknown mode {mode!r}")
+        for key in _SECTION_INTS:
+            _check_section(doc, key)
+        if doc.get("subset", {}).get("members") is not None:
+            _int_list("subset.members", doc["subset"]["members"])
+        output_dir = doc.get("output_dir")
+        if output_dir is not None and not isinstance(output_dir, str):
+            raise ConfigurationError(f"output_dir must be a path, got {output_dir!r}")
         k_grid = doc.get("k_grid")
         if k_grid is not None:
-            k_grid = tuple(int(k) for k in k_grid)
+            k_grid = _int_list("k_grid", k_grid)
             if not k_grid or any(b <= a for a, b in zip(k_grid, k_grid[1:])) or k_grid[0] < 1:
                 raise ConfigurationError("k_grid must be strictly increasing positive integers")
         return ExperimentConfig(
@@ -163,7 +194,7 @@ class ExperimentConfig:
             k_grid=k_grid,
             diameter=dict(doc["diameter"]) if doc.get("diameter") is not None else None,
             utility_distance=bool(doc.get("utility_distance", False)),
-            output_dir=doc.get("output_dir"),
+            output_dir=output_dir,
         )
 
     @staticmethod

@@ -184,10 +184,7 @@ def is_locally_strict(p: Preference, radius: float):
     Returns (ok, violating (i, j) pairs). Neighborhoods are closed
     max-metric balls around each side of the pair.
     """
-    near = (p.space.distance_matrix <= radius + _EPS).astype(np.float64)
-    strict = p.strict.astype(np.float64)
-    witnessed = (near @ strict @ near) > 0.5
-    bad = p.graph & ~witnessed
+    bad = p.graph & ~_dilate(p.space, radius, p.strict)
     ii, jj = np.nonzero(bad)
     violations = [(int(i), int(j)) for i, j in zip(ii, jj)]
     return len(violations) == 0, violations
@@ -204,17 +201,50 @@ def is_quasitransitive(r) -> bool:
     return bool(not (two_step & ~strict).any())
 
 
-def _dilate(graph_f: np.ndarray, near_f: np.ndarray) -> np.ndarray:
-    # pairs whose ball meets the graph, under the product max metric
-    return (near_f @ graph_f @ near_f) > 0.5
+def _dilate(space: OrderedSpace, radius: float, graphs: np.ndarray) -> np.ndarray:
+    """Pairs within `radius` of a graph, under the product max metric.
+
+    `graphs` is one boolean (n, n) graph or a (K, n, n) stack of them, and
+    the result has the same shape. Entry (i, j) is true when the graph has
+    a pair (k, l) with k in the closed ball around i and l in the ball
+    around j. Such pairs are counted by a float32 matrix product, which is
+    exact for this test at any size: every term is 0 or 1, so an empty
+    count is exactly 0 and a positive one, rounded or not, never falls
+    below 1.
+    """
+    near = (space.distance_matrix <= radius + _EPS).astype(np.float32)
+    return (near @ graphs.astype(np.float32) @ near) > 0.5
+
+
+def _graph_diameter(space: OrderedSpace, graphs: np.ndarray) -> float:
+    """Largest Hausdorff distance between two graphs of a (K, n, n) boolean stack.
+
+    Two graphs are within r of each other when each lies in the other's
+    r-dilation, so the largest pairwise distance is the least radius at
+    which every graph's dilation covers the union of the stack. Distances
+    take only the values in `space.distance_values`, so a binary search over
+    them finds it exactly.
+    """
+    union = graphs.any(axis=0)
+    radii = space.distance_values
+    lo, hi = 0, len(radii) - 1
+    # radii[hi] always works: it is the diameter of X
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if not (union & ~_dilate(space, radii[mid], graphs)).any():
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(radii[lo])
 
 
 def closed_convergence_distance(p, q) -> float:
     """Hausdorff distance between two relation graphs in X times X.
 
     The product space carries the max of the two coordinate distances, so
-    the distance is found by a threshold search over the finite set of
-    point distances, using boolean dilation at each candidate radius.
+    the distance is one of the space's point distances: the diameter of the
+    two-graph set, found by the threshold search of `_graph_diameter`.
+    Raises DomainError for relations on different spaces or an empty graph.
     """
     rp, rq = _as_relation(p), _as_relation(q)
     if not same_space(rp.space, rq.space):
@@ -223,28 +253,7 @@ def closed_convergence_distance(p, q) -> float:
         raise DomainError("closed convergence distance needs nonempty relations")
     if np.array_equal(rp.matrix, rq.matrix):
         return 0.0
-    space = rp.space
-    D = space.distance_matrix
-    radii = space.distance_values
-    gp = rp.matrix.astype(np.float64)
-    gq = rq.matrix.astype(np.float64)
-
-    def within(r: float) -> bool:
-        near = (D <= r + _EPS).astype(np.float64)
-        return bool(
-            not (rp.matrix & ~_dilate(gq, near)).any()
-            and not (rq.matrix & ~_dilate(gp, near)).any()
-        )
-
-    lo, hi = 0, len(radii) - 1
-    # radii[hi] always works: it is the diameter of X
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if within(float(radii[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(radii[lo])
+    return _graph_diameter(rp.space, np.stack([rp.matrix, rq.matrix]))
 
 
 def li_ls_limit(seq, radius_schedule, tail_starts=None):
@@ -275,20 +284,14 @@ def li_ls_limit(seq, radius_schedule, tail_starts=None):
         tail_starts = [int(t) for t in tail_starts]
         if len(tail_starts) != m or any(t < 0 or t >= n_terms for t in tail_starts):
             raise DomainError("need one valid 0-based tail start per radius")
-    D = space.distance_matrix
+    graphs = np.stack([rel.matrix for rel in rels])
     n = space.num_points
     li = np.ones((n, n), dtype=bool)
     ls = np.ones((n, n), dtype=bool)
     for r, start in zip(schedule, tail_starts):
-        near = (D <= r + _EPS).astype(np.float64)
-        met_all = np.ones((n, n), dtype=bool)
-        met_any = np.zeros((n, n), dtype=bool)
-        for rel in rels[start:]:
-            met = _dilate(rel.matrix.astype(np.float64), near)
-            met_all &= met
-            met_any |= met
-        li &= met_all
-        ls &= met_any
+        met = _dilate(space, r, graphs[start:])
+        li &= met.all(axis=0)
+        ls &= met.any(axis=0)
     return BinaryRelation(space, li), BinaryRelation(space, ls)
 
 

@@ -21,7 +21,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError, ConfigurationError, DomainError, PreconditionError, ResolutionError
 from .experiments import STRONG, WEAK, ChoiceSequence, ExperimentSequence
-from .preferences import Preference, closed_convergence_distance, from_utility
+from .preferences import Preference, _graph_diameter, closed_convergence_distance, from_utility
 from .spaces import OrderedSpace
 
 __all__ = [
@@ -478,16 +478,23 @@ def _partition_axis(num_levels: int, data_levels: list[int], max_len: int) -> li
     return runs
 
 
+def _grid_axes(space: OrderedSpace):
+    """A grid's dims, resolution, (dims, 2) bounds, per-axis steps and (n, dims) level indices."""
+    desc = space.descriptor
+    dims, res = desc["dims"], desc["resolution"]
+    bounds = np.asarray(desc["bounds"], dtype=float)
+    steps = (bounds[:, 1] - bounds[:, 0]) / (res - 1)
+    levels = np.array(np.unravel_index(np.arange(space.num_points), (res,) * dims)).T
+    return dims, res, bounds, steps, levels
+
+
 def _indifference_from_relation(r: RevealedRelation) -> Preference:
     space = r.space
     if space.kind != "euclidean_grid":
         raise ConfigurationError("the indifference construction needs a euclidean grid space")
     data = r.data_edges()
     stage = int(r.pair_index[data].max(initial=1))
-    desc = space.descriptor
-    dims, res = desc["dims"], desc["resolution"]
-    bounds = np.asarray(desc["bounds"], dtype=float)
-    steps = (bounds[:, 1] - bounds[:, 0]) / (res - 1)
+    dims, res, bounds, steps, levels = _grid_axes(space)
     cell_diameter = max(1.0 / (2.0 * stage), 2.0 * float(steps.max()))
 
     data_nodes = np.unique(np.concatenate([r.x[data], r.y[data]])).tolist()
@@ -498,7 +505,6 @@ def _indifference_from_relation(r: RevealedRelation) -> Preference:
     else:
         anchor_vals = {}
 
-    levels = np.array(np.unravel_index(np.arange(space.num_points), (res,) * dims)).T
     axis_runs, run_of_point = [], []
     for d in range(dims):
         max_len = max(3, int(cell_diameter / steps[d] + 1e-9) + 1)
@@ -707,12 +713,8 @@ def lipschitz_rationalize(e: ExperimentSequence, c: ChoiceSequence, a: float, b:
     r = revealed_relation(e, c, c.mode, monotone="none")
     weak, strict = _unique_edges(r)
     n = space.num_points
-    desc = space.descriptor
-    dims, res = desc["dims"], desc["resolution"]
-    bounds_arr = np.asarray(desc["bounds"], dtype=float)
-    steps = (bounds_arr[:, 1] - bounds_arr[:, 0]) / (res - 1)
+    dims, res, bounds, steps, levels = _grid_axes(space)
     strides = [res ** (dims - 1 - d) for d in range(dims)]
-    levels = np.array(np.unravel_index(np.arange(n), (res,) * dims)).T
 
     def row(i, j):
         d = np.zeros(n)
@@ -750,7 +752,7 @@ def lipschitz_rationalize(e: ExperimentSequence, c: ChoiceSequence, a: float, b:
         b_vals.append(-rhs)
     pin = np.zeros(n + 1)
     pin[0] = 1.0
-    span = float((np.abs(bounds_arr).max() + 1.0) * b * dims * res)
+    span = float((np.abs(bounds).max() + 1.0) * b * dims * res)
     if slack_on:
         cost = np.append(np.zeros(n), -1.0)
         t_bounds = (None, None)
@@ -827,32 +829,6 @@ def brute_force_rationalizations(e: ExperimentSequence, c: ChoiceSequence) -> np
     return ranks[_replay_mask(ranks, e, c)]
 
 
-def _set_diameter(space: OrderedSpace, ranks: np.ndarray) -> float:
-    """Exact max pairwise graph distance over a set of rank rows."""
-    uniq = np.unique(ranks, axis=0)
-    if uniq.shape[0] <= 1:
-        return 0.0
-    graphs = (uniq[:, :, None] >= uniq[:, None, :]).astype(np.float32)
-    union = graphs.astype(bool).any(axis=0)
-    distances = space.distance_matrix
-    radii = space.distance_values
-
-    def ok(radius: float) -> bool:
-        near = (distances <= radius + _ZERO_TOL).astype(np.float32)
-        dilated = (near @ graphs @ near) > 0.5
-        meet = dilated.all(axis=0)
-        return bool(not (union & ~meet).any())
-
-    lo, hi = 0, len(radii) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ok(float(radii[mid])):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(radii[lo])
-
-
 @dataclass(frozen=True)
 class DiameterResult:
     """Diameter of the rationalization set, with the mode that produced it."""
@@ -877,32 +853,38 @@ def diameter_estimate(
 ) -> DiameterResult:
     """How far apart two rationalizations of the data can still be.
 
-    Exact on spaces of at most 8 points when policy_class is "all"
-    (exhaustive enumeration of total preorders filtered by replay);
-    otherwise a sampled lower bound from seeded random extensions mixed
-    with the two extremal height assignments.
+    The value is the largest closed-convergence distance between two
+    candidate rationalizations, and `num_candidates` counts the distinct
+    candidates. It is exact on spaces of at most 8 points when policy_class
+    is "all": every total preorder is enumerated and filtered by replay.
+    Otherwise it is a sampled lower bound over the two extremal height
+    assignments and seeded random extensions, num_samples draws in all.
+    Raises ConfigurationError for a negative num_samples or an unknown
+    policy class, and PreconditionError for inconsistent data.
     """
     if policy_class not in _POLICY_CLASSES:
         raise ConfigurationError(f"unknown policy class {policy_class!r}")
+    if num_samples < 0:
+        raise ConfigurationError(f"num_samples must be at least 0, got {num_samples}")
     space = e.space
     r = revealed_relation(e, c, c.mode, monotone=_POLICY_CLASSES[policy_class])
     _require_consistent(r)
     n = space.num_points
     if policy_class == "all" and n <= 8:
-        if n <= 7:
-            ranks = brute_force_rationalizations(e, c)
-        else:
-            ranks = np.concatenate([rows[_replay_mask(rows, e, c)] for rows in _preorder_blocks(n)])
-        return DiameterResult(_set_diameter(space, ranks), "exact", int(ranks.shape[0]))
-
-    cond = r.condensation
-    draws = [_min_height(cond)[cond.labels], _max_height(cond)[cond.labels]]
-    rng = np.random.default_rng(seed)
-    probs = [0.0, 0.25, 0.5, 0.85]
-    for i in range(max(0, num_samples - len(draws))):
-        draws.append(sample_extension(r, rng, merge_prob=probs[i % len(probs)]).rank)
-    ranks = np.array([np.asarray(d, dtype=np.int64) for d in draws])
-    return DiameterResult(_set_diameter(space, ranks), "sampled", int(np.unique(ranks, axis=0).shape[0]))
+        method = "exact"
+        ranks = np.concatenate([rows[_replay_mask(rows, e, c)] for rows in _preorder_blocks(n)])
+    else:
+        method = "sampled"
+        cond = r.condensation
+        draws = [_min_height(cond)[cond.labels], _max_height(cond)[cond.labels]]
+        rng = np.random.default_rng(seed)
+        probs = [0.0, 0.25, 0.5, 0.85]
+        for i in range(max(0, num_samples - len(draws))):
+            draws.append(sample_extension(r, rng, merge_prob=probs[i % len(probs)]).rank)
+        ranks = np.array([np.asarray(d, dtype=np.int64) for d in draws])
+    uniq = np.unique(ranks, axis=0)
+    graphs = uniq[:, :, None] >= uniq[:, None, :]
+    return DiameterResult(_graph_diameter(space, graphs), method, int(uniq.shape[0]))
 
 
 def result_to_json(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -410,6 +411,16 @@ def space_to_descriptor(space: OrderedSpace, emit_points: bool = False) -> dict:
     return desc
 
 
+def _int_field(where: str, value, minimum: int | None = None) -> int:
+    """A whole-number field of a descriptor or config, else ConfigurationError."""
+    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ConfigurationError(f"{where} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{where} must be at least {minimum}, got {value!r}")
+    return int(value)
+
+
 def space_from_descriptor(desc: dict | str) -> OrderedSpace:
     """Rebuild a space from its descriptor (dict or JSON text)."""
     if isinstance(desc, str):
@@ -424,15 +435,25 @@ def space_from_descriptor(desc: dict | str) -> OrderedSpace:
 
 def _space_of_kind(desc: dict) -> OrderedSpace:
     kind = desc.get("kind")
+
+    def whole(key: str) -> int:
+        return _int_field(f"space field {key!r}", desc[key])
+
+    def numeric(key: str) -> np.ndarray:
+        try:
+            return np.asarray(desc[key], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"space field {key!r} must be numbers, got {desc[key]!r}") from None
+
     if kind == "euclidean_grid":
-        return make_grid_euclidean(desc["dims"], desc["resolution"], desc["bounds"])
+        return make_grid_euclidean(whole("dims"), whole("resolution"), numeric("bounds"))
     if kind == "lottery_simplex":
-        return make_lottery_simplex(desc["num_prizes"], desc["resolution"])
+        return make_lottery_simplex(whole("num_prizes"), whole("resolution"))
     if kind == "dated_rewards":
-        return make_dated_rewards(desc["money_resolution"], desc["time_resolution"], desc["bounds"])
+        return make_dated_rewards(whole("money_resolution"), whole("time_resolution"), numeric("bounds"))
     if kind == "aa_acts":
-        lottery = make_lottery_simplex(desc["num_prizes"], desc["resolution"])
-        return make_aa_acts(desc["num_states"], lottery)
+        lottery = make_lottery_simplex(whole("num_prizes"), whole("resolution"))
+        return make_aa_acts(whole("num_states"), lottery)
     if kind == "euclidean_points":
-        return from_points(desc["points"])
+        return from_points(numeric("points"))
     raise ConfigurationError(f"unknown space kind: {kind!r}")

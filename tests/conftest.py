@@ -28,6 +28,22 @@ def brute_graph_distance(space, rel_a, rel_b) -> float:
     return float(max(ahead, back))
 
 
+def brute_dilation(space, graph, radius, tol=1e-12) -> np.ndarray:
+    """Pairs within `radius` of some pair of a boolean graph, by exhaustive loops.
+
+    The product space carries the max metric, so (i, j) is within radius of
+    (k, l) when both D[i, k] and D[j, l] are; balls are closed, up to `tol`.
+    """
+    D = space.distance_matrix
+    n = space.num_points
+    pairs = [(k, l) for k in range(n) for l in range(n) if graph[k, l]]
+    out = np.zeros((n, n), dtype=bool)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = any(max(D[i, k], D[j, l]) <= radius + tol for k, l in pairs)
+    return out
+
+
 def dataset(space, rows, mode):
     """Build an experiment and choices from (x, y, chosen-tuple) rows."""
     members = sorted({i for x, y, _ in rows for i in (x, y)})

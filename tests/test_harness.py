@@ -290,6 +290,15 @@ class TestGallery:
 
 CSV_HEADER = "k,x_index,y_index,chose_x,chose_y\n"
 
+# space descriptors with a wrongly typed field
+BAD_DESCRIPTORS = [
+    pytest.param({"kind": "euclidean_grid", "dims": "2", "resolution": 3, "bounds": [0.0, 1.0]},
+                 id="dims_not_integer"),
+    pytest.param({"kind": "lottery_simplex", "num_prizes": 3.5, "resolution": 2}, id="num_prizes_fractional"),
+    pytest.param({"kind": "euclidean_grid", "dims": 1, "resolution": 5, "bounds": "x"}, id="bounds_not_numbers"),
+    pytest.param({"kind": "euclidean_points", "points": [["a"], ["b"]]}, id="points_not_numbers"),
+]
+
 
 @pytest.fixture
 def cli_space(tmp_path, line5):
@@ -344,6 +353,7 @@ class TestCli:
         pytest.param(["check"], None, CSV_HEADER + "abc,0,1,0,1\n", id="k_not_integer"),
         pytest.param(["check"], None, CSV_HEADER + "1,0,1\n", id="short_row"),
         pytest.param(["diameter", "--samples", "-1"], None, CSV_HEADER + "1,0,1,0,1\n", id="negative_samples"),
+        *[pytest.param(["check"], *bad.values, CSV_HEADER + "1,0,1,0,1\n", id=bad.id) for bad in BAD_DESCRIPTORS],
     ])
     def test_check_missing_file_exits_2(self, cli_space, tmp_path, capsys, command, space_doc, csv_text):
         # malformed input exits 2 with an error line, never a traceback
@@ -381,6 +391,24 @@ class TestCli:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(BASE_CONFIG, extra=True)))
         code = main(["run", "--config", str(config)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        pytest.param({"diameter": {"num_samples": "abc"}}, id="num_samples_not_integer"),
+        pytest.param({"diameter": {"num_samples": -3}}, id="negative_num_samples"),
+        pytest.param({"k_grid": ["a"]}, id="k_grid_not_integer"),
+        pytest.param({"policy": {"tag": "canonical", "monotone": "none", "budget": "x"}}, id="budget_not_integer"),
+        pytest.param({"schedule": {"seed": "x"}}, id="seed_not_integer"),
+        pytest.param({"subset": {"stride": 0}}, id="zero_stride"),
+        pytest.param({"diameter": [1]}, id="diameter_not_object"),
+        pytest.param({"output_dir": 5}, id="output_dir_not_path"),
+        *[pytest.param({"space": bad.values[0]}, id=bad.id) for bad in BAD_DESCRIPTORS],
+    ])
+    def test_run_malformed_config_exits_2(self, tmp_path, capsys, change):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(BASE_CONFIG, **change)))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 

@@ -21,11 +21,16 @@ from prefid import (
 from prefid.errors import DomainError
 from prefid.preferences import from_utility
 
-from conftest import brute_graph_distance
+from conftest import brute_dilation, brute_graph_distance
 
 
 def pref(space, ranks):
     return Preference(space, np.array(ranks))
+
+
+def plane5():
+    # uneven points in the plane, so distances are informative
+    return from_points(np.array([[0.0, 0.0], [0.1, 0.5], [0.3, 0.2], [0.7, 0.9], [1.5, 0.4]]))
 
 
 class TestPreference:
@@ -122,7 +127,34 @@ def test_triangle_inequality(ra, rb, rc):
     assert d(pa, pc) <= d(pa, pb) + d(pb, pc) + 1e-12
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.booleans(), min_size=25, max_size=25).filter(any),
+       st.lists(st.booleans(), min_size=25, max_size=25).filter(any))
+def test_distance_matches_loop_oracle_on_relations(bits_a, bits_b):
+    space = plane5()
+    ra = BinaryRelation(space, np.reshape(bits_a, (5, 5)))
+    rb = BinaryRelation(space, np.reshape(bits_b, (5, 5)))
+    assert closed_convergence_distance(ra, rb) == pytest.approx(brute_graph_distance(space, ra, rb), abs=1e-12)
+
+
 class TestLiLsLimit:
+    def test_matches_dilation_oracle(self):
+        space = plane5()
+        rng = np.random.default_rng(7)
+        seq = [BinaryRelation(space, rng.random((5, 5)) < 0.3) for _ in range(5)]
+        seq.append(pref(space, rng.integers(0, 3, size=5)).relation())
+        schedule = sorted(rng.choice(space.distance_values, size=3, replace=False), reverse=True)
+        starts = (0, 2, 4)
+        li, ls = li_ls_limit(seq, schedule, tail_starts=starts)
+        want_li = np.ones((5, 5), dtype=bool)
+        want_ls = np.ones((5, 5), dtype=bool)
+        for radius, start in zip(schedule, starts):
+            met = [brute_dilation(space, rel.matrix, radius) for rel in seq[start:]]
+            want_li &= np.logical_and.reduce(met)
+            want_ls &= np.logical_or.reduce(met)
+        assert np.array_equal(li.matrix, want_li)
+        assert np.array_equal(ls.matrix, want_ls)
+
     def test_constant_sequence_converges_to_dilated_graph(self, line5):
         p = pref(line5, (0, 1, 2, 3, 4))
         li, ls = li_ls_limit([p] * 6, (0.5, 0.1), tail_starts=(0, 3))
@@ -144,6 +176,17 @@ class TestLiLsLimit:
 
 
 class TestLocalStrictness:
+    def test_matches_dilation_oracle(self):
+        space = plane5()
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            p = pref(space, rng.integers(0, 3, size=5))
+            radius = float(rng.choice(space.distance_values))
+            ok, bad = is_locally_strict(p, radius)
+            want = p.graph & ~brute_dilation(space, p.strict, radius)
+            assert bad == [(int(i), int(j)) for i, j in np.argwhere(want)]
+            assert ok == (not want.any())
+
     def test_strictly_ranked_neighbors_pass(self, chain6):
         p = from_utility(chain6, chain6.points[:, 0])
         ok, bad = is_locally_strict(p, radius=1.0)

@@ -559,6 +559,22 @@ class TestDiameter:
         assert abs(res.value - expected) < 1e-12
         assert abs(res.value - 0.6) < 1e-12
 
+    @pytest.mark.parametrize("rows, value", [
+        ([(1, 2, (1,)), (2, 5, (2, 5)), (0, 3, (0, 3)), (4, 1, (1,))], 0.5),
+        ([(5, 4, (4,)), (0, 2, (0, 2)), (3, 0, (3,)), (4, 1, (4, 1)), (1, 5, (1,))], 0.3),
+    ])
+    def test_exact_matches_naive_oracle_on_2d_lattice(self, rows, value):
+        lattice = from_points(np.array([(x, y) for x in (0.0, 0.7) for y in (0.0, 0.2, 0.5)]))
+        e, c = dataset(lattice, rows, "strong")
+        res = diameter_estimate(e, c, "all")
+        prefs = [from_utility(lattice, np.array(row, dtype=float))
+                 for row in naive_preorders(6) if naive_replay(row, e, c)]
+        expected = max(brute_graph_distance(lattice, a, b) for a in prefs for b in prefs)
+        assert res.method == "exact"
+        assert res.num_candidates == len(prefs)
+        assert abs(res.value - expected) < 1e-12
+        assert abs(res.value - value) < 1e-12
+
     def test_partial_chain_values(self, chain6):
         e, c = dataset(chain6, [(0, 1, (1,)), (2, 3, (3,))], "strong")
         exact = diameter_estimate(e, c, "all")
