@@ -10,6 +10,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -70,8 +72,15 @@ __all__ = [
 # configuration
 
 
+def _real_field(where: str, value) -> float:
+    """A finite-number field of a config, else ConfigurationError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ConfigurationError(f"{where} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _formula_coordinate(points: np.ndarray, params: dict) -> np.ndarray:
-    dim = int(params.get("dim", 0))
+    dim = _int_field("generator param 'dim'", params.get("dim", 0))
     if not (0 <= dim < points.shape[1]):
         raise ConfigurationError(f"coordinate dim {dim} out of range")
     return points[:, dim]
@@ -86,12 +95,15 @@ def _formula_product(points: np.ndarray, params: dict) -> np.ndarray:
 
 
 def _formula_cobb_douglas_mix(points: np.ndarray, params: dict) -> np.ndarray:
-    mix = float(params.get("mix", 0.1))
+    mix = _real_field("generator param 'mix'", params.get("mix", 0.1))
     return points.prod(axis=1) + mix * points.sum(axis=1)
 
 
 def _formula_linear_index(points: np.ndarray, params: dict) -> np.ndarray:
-    index = np.asarray(params.get("index", ()), dtype=float)
+    index = params.get("index", ())
+    if not isinstance(index, (list, tuple)):
+        raise ConfigurationError(f"generator param 'index' must be a list of numbers, got {index!r}")
+    index = np.array([_real_field("generator param 'index' entry", v) for v in index])
     if index.shape != (points.shape[1],):
         raise ConfigurationError("linear_index needs one weight per coordinate")
     return points @ index
@@ -111,7 +123,10 @@ def generator_values(space, spec: dict) -> np.ndarray:
     name = spec.get("formula")
     if name not in FORMULAS:
         raise ConfigurationError(f"unknown generator formula {name!r}")
-    return np.asarray(FORMULAS[name](space.points, spec.get("params", {})), dtype=float)
+    params = spec.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigurationError(f"generator params must be an object, got {params!r}")
+    return np.asarray(FORMULAS[name](space.points, params), dtype=float)
 
 
 _CONFIG_KEYS = {
@@ -291,8 +306,11 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
 
     Each checkpoint row records the distance from the extended preference
     to the generator, plus optional diameter and utility-distance columns.
-    Inconsistent prefixes (possible under a mismatched policy) become
-    failure rows and the run continues.
+    A prefix the policy cannot rationalize becomes a failure row, with
+    `consistent` false and no numeric columns, and the run continues:
+    either the prefix is inconsistent (possible under a mismatched policy),
+    or, under eu_class, no linear prize index rationalizes it. An extension
+    that fails its own replay still raises DomainError.
     """
     space = space_from_descriptor(config.space)
     stride = int(config.subset.get("stride", 1))
@@ -334,12 +352,12 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         t0 = time.perf_counter()
         e_k, c_k = restrict(e, c, k)
         r = revealed_relation(e_k, c_k, config.mode, monotone=policy.monotone)
-        consistent = check_consistency(r).consistent
-        if not consistent:
+        try:
+            pref = extend_preference(r, policy)
+        except PreconditionError:
             ms = (time.perf_counter() - t0) * 1000.0
             rows.append(ReportRow(k, None, None, None, False, ms))
             continue
-        pref = extend_preference(r, policy)
         if not rationalizes(pref, e_k, c_k):
             raise DomainError(f"extension failed its own replay at k={k}")
         delta = closed_convergence_distance(pref, gen)

@@ -579,100 +579,94 @@ class LipschitzResult:
     margin: float
 
 
-def _unique_edges(r: RevealedRelation) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Sorted (x, y) pairs of the weak edges that no strict edge repeats, and of the strict edges."""
+def _unique_edges(r: RevealedRelation) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """(x, y) index arrays of the weak edges that no strict edge repeats, and of the strict edges, by (x, y)."""
     n = r.space.num_points
     keys = r.x * n + r.y
     strict = np.unique(keys[r.strict])
     weak = np.setdiff1d(keys[~r.strict], strict)
-    return tuple(list(zip((k // n).tolist(), (k % n).tolist())) for k in (weak, strict))
+    return (weak // n, weak % n), (strict // n, strict % n)
 
 
-def _solve_margin_lp(diffs_weak: np.ndarray, diffs_strict: np.ndarray, num_vars: int,
-                     extra_eq: tuple[np.ndarray, float] | None, box: float,
-                     tie_break: np.ndarray) -> tuple[str, np.ndarray | None, float]:
-    """Two-phase LP: maximize the least strict slack, then settle ties.
+def _incidence(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """One row per edge over n values: +1 at x, -1 at y, so row @ u = u[x] - u[y]."""
+    rows = np.zeros((len(x), n))
+    rows[np.arange(len(x)), x] += 1.0
+    rows[np.arange(len(x)), y] -= 1.0
+    return rows
 
-    Weak rows require d.u >= 0, strict rows d.u >= t with t maximized;
-    with no strict rows the slack attaches to the weak rows instead. The
-    second phase fixes the optimal slack and maximizes a fixed linear
-    functional so the reported vector is deterministic.
+
+def _linprog_ge(cost: np.ndarray, rows: np.ndarray, rhs: np.ndarray, eq: tuple[np.ndarray, float],
+                bounds: list, what: str) -> np.ndarray | None:
+    """Minimise cost @ x subject to rows @ x >= rhs and eq[0] @ x == eq[1].
+
+    Returns the optimal x, or None when the program is infeasible; any other
+    solver failure raises DomainError naming the program.
     """
-    num_weak, num_strict = len(diffs_weak), len(diffs_strict)
-    slack_on = diffs_strict if num_strict else diffs_weak
-    plain = diffs_weak if num_strict else np.zeros((0, num_vars))
+    res = linprog(cost, A_ub=-rows, b_ub=-rhs, A_eq=eq[0][None, :], b_eq=[eq[1]], bounds=bounds, method="highs")
+    if res.status == 2:
+        return None
+    if res.status != 0:
+        raise DomainError(f"{what} failed with solver status {res.status}")
+    return res.x
 
-    if len(slack_on):
-        a_rows, b_vals = [], []
-        for d in plain:
-            a_rows.append(np.append(-d, 0.0))
-            b_vals.append(0.0)
-        for d in slack_on:
-            a_rows.append(np.append(-d, 1.0))
-            b_vals.append(0.0)
-        a_eq = [np.append(extra_eq[0], 0.0)] if extra_eq is not None else None
-        b_eq = [extra_eq[1]] if extra_eq is not None else None
-        res = linprog(
-            np.append(np.zeros(num_vars), -1.0),
-            A_ub=np.array(a_rows),
-            b_ub=np.array(b_vals),
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=b_eq,
-            bounds=[(-box, box)] * num_vars + [(None, None)],
-            method="highs",
-        )
-        if res.status == 2:
-            return "infeasible", None, float("-inf")
-        if res.status != 0:
-            raise DomainError(f"margin program failed with solver status {res.status}")
-        t_star = float(res.x[-1])
-        if num_strict and t_star < _ZERO_TOL:
-            return "infeasible", None, t_star
-    else:
-        t_star = 0.0
 
-    # phase 2: fix the slack, settle the vector deterministically
-    t_fix = t_star - max(1e-12, abs(t_star) * 1e-9)
-    a2, b2 = [], []
-    for d in plain:
-        a2.append(-d)
-        b2.append(0.0)
-    for d in slack_on:
-        a2.append(-d)
-        b2.append(-t_fix)
-    res2 = linprog(
-        -tie_break,
-        A_ub=np.array(a2) if a2 else None,
-        b_ub=np.array(b2) if b2 else None,
-        A_eq=np.array([extra_eq[0]]) if extra_eq is not None else None,
-        b_eq=np.array([extra_eq[1]]) if extra_eq is not None else None,
-        bounds=[(-box, box)] * num_vars,
-        method="highs",
-    )
-    if res2.status == 2:
-        return "infeasible", None, t_star
-    if res2.status != 0:
-        raise DomainError(f"tie-break program failed with solver status {res2.status}")
-    u = np.asarray(res2.x)
-    status = "feasible"
-    if (num_weak or num_strict) and t_star < _MARGIN_FLOOR:
-        status = "degenerate"
-    return status, u, t_star
+def _slack_rows(num_weak: int, num_strict: int) -> np.ndarray:
+    # mask over the stacked weak and strict rows: the strict rows, or the weak rows when there are none
+    return np.arange(num_weak + num_strict) >= (num_weak if num_strict else 0)
+
+
+def _max_margin(weak: np.ndarray, strict: np.ndarray, hard: np.ndarray, hard_rhs: np.ndarray,
+                eq: tuple[np.ndarray, float], box: float) -> tuple[str, np.ndarray | None, float]:
+    """Phase 1: the vector u in [-box, box] that maximises the least slack t.
+
+    The slack rides on the strict rows (strict @ u >= t) when there are any,
+    else on the weak rows; weak rows without slack ask weak @ u >= 0. The
+    hard rows (hard @ u >= hard_rhs) and the equality eq[0] @ u == eq[1]
+    hold exactly. Returns (status, u, t): "infeasible" when the program is,
+    or when strict rows leave no positive slack; "degenerate" when t is
+    below the margin floor; else "feasible". With no weak or strict row
+    nothing carries slack, the program is not solved and u is None.
+    """
+    rows = np.concatenate([weak, strict])
+    slack = _slack_rows(len(weak), len(strict))
+    if not slack.any():
+        return "feasible", None, 0.0
+    num_vars = rows.shape[1]
+    # t is one more variable: a slack row reads row @ u - t >= 0
+    t_column = np.append(np.where(slack, -1.0, 0.0), np.zeros(len(hard)))
+    a = np.column_stack([np.concatenate([rows, hard]), t_column])
+    x = _linprog_ge(np.append(np.zeros(num_vars), -1.0), a, np.append(np.zeros(len(rows)), hard_rhs),
+                    (np.append(eq[0], 0.0), eq[1]), [(-box, box)] * num_vars + [(None, None)], "margin program")
+    if x is None:
+        return "infeasible", None, float("-inf")
+    t = float(x[-1])
+    if len(strict) and t < _ZERO_TOL:
+        return "infeasible", None, t
+    return ("degenerate" if t < _MARGIN_FLOOR else "feasible"), x[:-1], t
 
 
 def _eu_from_edges(r: RevealedRelation) -> EuResult:
     space = r.space
     if space.kind != "lottery_simplex":
         raise ConfigurationError("linear-index fitting needs a lottery_simplex space")
-    weak, strict = _unique_edges(r)
-    num_prizes = space.points.shape[1]
-    dw = np.array([space.points[i] - space.points[j] for i, j in weak]).reshape(len(weak), num_prizes)
-    ds = np.array([space.points[i] - space.points[j] for i, j in strict]).reshape(len(strict), num_prizes)
-    tie_break = np.concatenate([dw, ds]).sum(axis=0) if (len(dw) + len(ds)) else np.zeros(num_prizes)
+    (wx, wy), (sx, sy) = _unique_edges(r)
+    points = space.points
+    num_prizes = points.shape[1]
+    dw, ds = points[wx] - points[wy], points[sx] - points[sy]
+    rows = np.concatenate([dw, ds])
+    tie_break = rows.sum(axis=0)
     if not tie_break.any():
         tie_break = np.linspace(1.0, -1.0, num_prizes)  # fixed fallback functional
-    status, u, t_star = _solve_margin_lp(dw, ds, num_prizes, (np.ones(num_prizes), 0.0), 1.0, tie_break)
+    zero_sum = (np.ones(num_prizes), 0.0)
+    status, _, t_star = _max_margin(dw, ds, np.zeros((0, num_prizes)), np.zeros(0), zero_sum, 1.0)
     if status == "infeasible":
+        return EuResult("infeasible", None, 0.0)
+    # phase 2: hold the slack rows at just under the optimal slack, settle the vector deterministically
+    t_fix = t_star - max(1e-12, abs(t_star) * 1e-9)
+    rhs = np.where(_slack_rows(len(dw), len(ds)), t_fix, 0.0)
+    u = _linprog_ge(-tie_break, rows, rhs, zero_sum, [(-1.0, 1.0)] * num_prizes, "tie-break program")
+    if u is None:
         return EuResult("infeasible", None, 0.0)
     norm = float(np.linalg.norm(u))
     if norm < _MARGIN_FLOOR:
@@ -703,7 +697,10 @@ def lipschitz_rationalize(e: ExperimentSequence, c: ChoiceSequence, a: float, b:
 
     Neighboring grid points one level apart in coordinate d must differ by
     between a*step_d and b*step_d; revealed comparisons enter as in the
-    linear-index fit. The lowest corner is pinned to zero.
+    linear-index fit. The lowest corner is pinned to zero. The values are
+    the max-margin vertex of phase 1 as the solver returns it: unlike the
+    linear-index fit, no tie-break phase settles them. With no data they
+    are the lowest band staircase (least sum of values).
     """
     if not (0 < a < b):
         raise ConfigurationError("need 0 < a < b")
@@ -711,69 +708,23 @@ def lipschitz_rationalize(e: ExperimentSequence, c: ChoiceSequence, a: float, b:
     if space.kind != "euclidean_grid":
         raise ConfigurationError("slope-band fitting needs a euclidean_grid space")
     r = revealed_relation(e, c, c.mode, monotone="none")
-    weak, strict = _unique_edges(r)
+    (wx, wy), (sx, sy) = _unique_edges(r)
     n = space.num_points
     dims, res, bounds, steps, levels = _grid_axes(space)
-    strides = [res ** (dims - 1 - d) for d in range(dims)]
-
-    def row(i, j):
-        d = np.zeros(n)
-        d[i] += 1.0
-        d[j] -= 1.0
-        return d
-
-    dw = [row(i, j) for i, j in weak]
-    ds = [row(i, j) for i, j in strict]
-    # slope band rows are hard constraints in both phases: fold them into the
-    # weak list as shifted inequalities via auxiliary handling below
-    band_rows, band_rhs = [], []
-    for p in range(n):
-        for d in range(dims):
-            if levels[p, d] + 1 < res:
-                q = p + strides[d]
-                up = row(q, p)
-                band_rows.append(up)
-                band_rhs.append(a * steps[d])     # u_q - u_p >= a*step
-                band_rows.append(-up)
-                band_rhs.append(-b * steps[d])    # u_q - u_p <= b*step
-
-    num_weak, num_strict = len(dw), len(ds)
-    slack_on = ds if num_strict else dw
-    plain = dw if num_strict else []
-    a_rows, b_vals = [], []
-    for v in plain:
-        a_rows.append(np.append(-v, 0.0))
-        b_vals.append(0.0)
-    for v in slack_on:
-        a_rows.append(np.append(-v, 1.0))
-        b_vals.append(0.0)
-    for v, rhs in zip(band_rows, band_rhs):
-        a_rows.append(np.append(-v, 0.0))
-        b_vals.append(-rhs)
-    pin = np.zeros(n + 1)
-    pin[0] = 1.0
+    # per grid point p and axis d with a next level q: a*step_d <= u_q - u_p <= b*step_d
+    p, d = np.nonzero(levels + 1 < res)
+    up = _incidence(n, p + res ** (dims - 1 - d), p)
+    band = np.stack([up, -up], axis=1).reshape(-1, n)
+    band_rhs = np.stack([a * steps[d], -b * steps[d]], axis=1).ravel()
+    pin = (np.eye(1, n).ravel(), 0.0)
     span = float((np.abs(bounds).max() + 1.0) * b * dims * res)
-    if slack_on:
-        cost = np.append(np.zeros(n), -1.0)
-        t_bounds = (None, None)
-    else:  # nothing carries slack; settle on the lowest band staircase
-        cost = np.append(np.ones(n), 0.0)
-        t_bounds = (0.0, 0.0)
-    res1 = linprog(cost, A_ub=np.array(a_rows), b_ub=np.array(b_vals),
-                   A_eq=pin[None, :], b_eq=[0.0],
-                   bounds=[(-span, span)] * n + [t_bounds], method="highs")
-    if res1.status == 2:
+    ds = _incidence(n, sx, sy)
+    status, values, _ = _max_margin(_incidence(n, wx, wy), ds, band, band_rhs, pin, span)
+    if status == "feasible" and values is None:  # nothing carries slack: the lowest band staircase
+        values = _linprog_ge(np.ones(n), band, band_rhs, pin, [(-span, span)] * n, "band program")
+    if values is None:
         return LipschitzResult("infeasible", None, 0.0)
-    if res1.status != 0:
-        raise DomainError(f"band program failed with solver status {res1.status}")
-    t_star = float(res1.x[-1]) if slack_on else 0.0
-    if num_strict and t_star < _ZERO_TOL:
-        return LipschitzResult("infeasible", None, 0.0)
-    values = np.asarray(res1.x[:n])
-    status = "feasible"
-    if (num_weak or num_strict) and t_star < _MARGIN_FLOOR:
-        status = "degenerate"
-    margin = float(min(values[i] - values[j] for i, j in strict)) if strict else 0.0
+    margin = float((ds @ values).min()) if len(ds) else 0.0
     return LipschitzResult(status, values, max(margin, 0.0))
 
 

@@ -275,11 +275,15 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
     """Euclidean space over an explicit point list, ordered coordinatewise.
 
     For irregular alternatives sets (disconnected intervals, scattered
-    points). `step` is the smallest positive pairwise distance.
+    points). `points` is a 1-D array (one coordinate per point) or a 2-D
+    array of finite numbers; anything else raises ConfigurationError.
+    `step` is the smallest positive pairwise distance.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
+    if points.ndim != 2 or points.shape[1] == 0 or not np.isfinite(points).all():
+        raise ConfigurationError("points must be finite numbers, or equal-length nonempty lists of them")
     if points.shape[0] < 2:
         raise ConfigurationError("need at least 2 points")
     weak, strict = _order_from_aligned(points)

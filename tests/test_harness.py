@@ -1,10 +1,15 @@
 """Tests for the experiment runner, gallery, reports, and CLI."""
 
+import contextlib
+import io
 import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from prefid import ConfigurationError, DomainError
 from prefid.cli import main
@@ -187,6 +192,24 @@ class TestRunConvergence:
         with pytest.raises(ConfigurationError):
             run_convergence(cfg)
 
+    def test_eu_class_without_rationalization_gives_failure_rows(self, tmp_path):
+        # ties in the generating index leave the linear-index fit without a
+        # rationalization from some prefix on; those checkpoints become failure
+        # rows and the run reaches the last pair
+        cfg = ExperimentConfig.from_dict(dict(
+            space={"kind": "lottery_simplex", "num_prizes": 3, "resolution": 5},
+            generator={"formula": "linear_index", "params": {"index": [1.0, 0.0, -1.0]}},
+            policy={"tag": "eu_class", "monotone": "none"},
+        ))
+        rep = run_convergence(cfg)
+        assert tuple(row.k for row in rep.rows) == default_checkpoints(rep.metadata["total_pairs"])
+        failed = [row for row in rep.rows if not row.consistent]
+        assert failed and len(failed) < len(rep.rows)
+        assert all((row.delta_c, row.diameter, row.utility_dist) == (None, None, None) for row in failed)
+        emit_report(rep, ["csv"], str(tmp_path))
+        back = parse_report_csv((tmp_path / "report.csv").read_text())
+        assert [row.consistent for row in back] == [row.consistent for row in rep.rows]
+
     def test_shuffled_schedule(self):
         cfg = ExperimentConfig.from_dict(
             dict(BASE_CONFIG, schedule={"order": "shuffled", "seed": 5})
@@ -297,6 +320,11 @@ BAD_DESCRIPTORS = [
     pytest.param({"kind": "lottery_simplex", "num_prizes": 3.5, "resolution": 2}, id="num_prizes_fractional"),
     pytest.param({"kind": "euclidean_grid", "dims": 1, "resolution": 5, "bounds": "x"}, id="bounds_not_numbers"),
     pytest.param({"kind": "euclidean_points", "points": [["a"], ["b"]]}, id="points_not_numbers"),
+    pytest.param({"kind": "euclidean_points", "points": 0}, id="points_scalar"),
+    pytest.param({"kind": "euclidean_points", "points": [[[0.0]], [[1.0]]]}, id="points_3d"),
+    pytest.param({"kind": "euclidean_points", "points": [[], []]}, id="points_without_coordinates"),
+    pytest.param({"kind": "euclidean_points", "points": [[0.0], [float("nan")]]}, id="points_nan"),
+    pytest.param({"kind": "euclidean_points", "points": [0.0, float("inf")]}, id="points_infinite"),
 ]
 
 
@@ -403,6 +431,11 @@ class TestCli:
         pytest.param({"subset": {"stride": 0}}, id="zero_stride"),
         pytest.param({"diameter": [1]}, id="diameter_not_object"),
         pytest.param({"output_dir": 5}, id="output_dir_not_path"),
+        pytest.param({"generator": {"formula": "coordinate", "params": [1]}}, id="params_not_object"),
+        pytest.param({"generator": {"formula": "coordinate", "params": {"dim": "x"}}}, id="dim_not_integer"),
+        pytest.param({"generator": {"formula": "cobb_douglas_mix", "params": {"mix": "x"}}}, id="mix_not_number"),
+        pytest.param({"generator": {"formula": "linear_index", "params": {"index": ["a", 1]}}},
+                     id="index_not_numbers"),
         *[pytest.param({"space": bad.values[0]}, id=bad.id) for bad in BAD_DESCRIPTORS],
     ])
     def test_run_malformed_config_exits_2(self, tmp_path, capsys, change):
@@ -445,3 +478,46 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "[pass]" in stdout
         assert (tmp_path / "motivating_01.csv").exists()
+
+
+def _nested_ints(depth: int):
+    """Integers in -2..5, or lists of at most 3 such values nested at most `depth` deep."""
+    leaf = st.integers(-2, 5)
+    return leaf if depth == 0 else st.one_of(leaf, st.lists(_nested_ints(depth - 1), max_size=3))
+
+
+_SPACE_KINDS = ("euclidean_grid", "lottery_simplex", "dated_rewards", "aa_acts", "euclidean_points", "mystery")
+_SPACE_FIELDS = ("dims", "resolution", "bounds", "num_prizes", "money_resolution", "time_resolution",
+                 "num_states", "points")
+FUZZED_DESCRIPTORS = st.fixed_dictionaries(
+    {"kind": st.sampled_from(_SPACE_KINDS)}, optional={key: _nested_ints(3) for key in _SPACE_FIELDS}
+)
+
+
+def _num_points(doc) -> int:
+    """Points a grid or act-space descriptor asks for, when its sizes are positive integers; else 0."""
+    keys = {"euclidean_grid": ("dims", "resolution"), "aa_acts": ("num_prizes", "resolution", "num_states")}
+    sizes = [doc.get(key) for key in keys.get(doc["kind"], ())]
+    if not sizes or not all(type(v) is int and v > 0 for v in sizes):
+        return 0
+    if doc["kind"] == "euclidean_grid":
+        dims, res = sizes
+        return res**dims
+    prizes, res, states = sizes
+    return math.comb(res + prizes - 1, prizes - 1) ** states
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(doc=FUZZED_DESCRIPTORS)
+def test_fuzzed_descriptor_exits_cleanly(tmp_path_factory, doc):
+    # any descriptor maps to exit 0, 2 or 3, never a traceback. Grids and act
+    # spaces have no point budget below 4,096 points yet, and their (n, n, d)
+    # difference arrays reach 0.4 GB there, so larger draws are skipped
+    assume(_num_points(doc) <= 256)
+    folder = tmp_path_factory.mktemp("fuzz")
+    space, data = folder / "space.json", folder / "choices.csv"
+    space.write_text(json.dumps(doc))
+    data.write_text(CSV_HEADER + "1,0,1,0,1\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["check", "--data", str(data), "--space", str(space), "--mode", "strong"])
+    assert code in (0, 2, 3)
