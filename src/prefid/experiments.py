@@ -3,20 +3,23 @@
 An experiment is an enumeration of all unordered pairs from a designated
 subset of alternatives. Choice data is generated from a preference either
 with exact optimal sets (strong observability) or one reported maximal
-element per pair (weak observability).
+element per pair (weak observability). This module alone turns the
+tuples of a sequence into the array form every reader works on.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .preferences import Preference
-from .spaces import DenseSubset, OrderedSpace, dense_subset
+from .spaces import DenseSubset, OrderedSpace, _frozen, dense_subset
 
 __all__ = [
     "ExperimentSequence",
@@ -34,7 +37,12 @@ WEAK = "weak"
 
 @dataclass(frozen=True)
 class ExperimentSequence:
-    """An ordered list of binary menus over a subset B of the space."""
+    """An ordered list of binary menus over a subset B of the space.
+
+    Construction checks nothing. `pair_array`, the pairs as a read-only
+    (k, 2) int64 array, is built on first read, which raises DomainError
+    unless every pair is two distinct point indices of the space.
+    """
 
     space: OrderedSpace
     B: DenseSubset
@@ -43,10 +51,21 @@ class ExperimentSequence:
     def __len__(self) -> int:
         return len(self.pairs)
 
+    @cached_property
+    def pair_array(self) -> np.ndarray:
+        return _pair_array(self.pairs, self.space.num_points)
+
 
 @dataclass(frozen=True)
 class ChoiceSequence:
-    """Observed choices, one nonempty subset of each pair, plus the mode tag."""
+    """Observed choices, one nonempty subset of each pair, plus the mode tag.
+
+    Construction checks nothing. `chose_mask`, a read-only (k, 2) bool
+    array ([i, 0]: pair i's x was chosen, [i, 1]: its y), is built on first
+    read, which raises ConfigurationError for an unknown mode and
+    DomainError for a malformed pair of `experiment`, a choice count unlike
+    its pair count, or a choice that is empty or not a subset of its pair.
+    """
 
     experiment: ExperimentSequence
     choices: tuple[tuple[int, ...], ...]
@@ -55,16 +74,53 @@ class ChoiceSequence:
     def __len__(self) -> int:
         return len(self.choices)
 
+    @cached_property
+    def chose_mask(self) -> np.ndarray:
+        if self.mode not in (STRONG, WEAK):
+            raise ConfigurationError(f"unknown mode {self.mode!r}")
+        k = len(self.experiment)
+        if len(self.choices) != k:
+            raise DomainError("experiment and choices have different lengths")
+        sizes = np.fromiter(map(len, self.choices), dtype=np.int64, count=k)
+        chosen = np.fromiter(itertools.chain.from_iterable(self.choices), dtype=np.int64, count=sizes.sum())
+        owner = np.repeat(np.arange(k), sizes)
+        hit, side = np.nonzero(chosen[:, None] == self.experiment.pair_array[owner])
+        chose = np.zeros((k, 2), dtype=bool)
+        chose[owner[hit], side] = True
+        # a pair's two sides differ, so a choice inside its pair hits once per element
+        bad = ~chose.any(axis=1) | (np.bincount(owner[hit], minlength=k) != sizes)
+        if bad.any():
+            raise DomainError(f"choice at k={bad.argmax() + 1} is empty or not a subset of its pair")
+        return _frozen(chose)
 
-def _diagonal_pairs(m: int) -> list[tuple[int, int]]:
-    # positions (i, j), i < j, ordered by anti-diagonal then row
-    out = []
-    for s in range(1, 2 * m - 2):
-        i_lo = max(0, s - m + 1)
-        i_hi = (s - 1) // 2
-        for i in range(i_lo, i_hi + 1):
-            out.append((i, s - i))
-    return out
+    def arrays_over(self, e: ExperimentSequence) -> tuple[np.ndarray, np.ndarray]:
+        """e's pair array and this chose_mask; DomainError unless these are choices over e's pairs."""
+        if self.experiment is not e and self.experiment.pairs != e.pairs:
+            raise DomainError("the choices were made over another experiment")
+        return e.pair_array, self.chose_mask
+
+
+def _pair_array(pairs, n: int) -> np.ndarray:
+    """Pairs as a read-only (k, 2) array; DomainError unless each is two distinct indices below n."""
+    try:
+        arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError("every pair must be two point indices") from None
+    bad = (arr.min(axis=1) < 0) | (arr.max(axis=1) >= n) | (arr[:, 0] == arr[:, 1])
+    if bad.any():
+        raise DomainError(f"pair {arr[bad][0].tolist()} at k={bad.argmax() + 1} is not two distinct indices below {n}")
+    return _frozen(arr)
+
+
+def _with_arrays(seq, **arrays):
+    # fill a sequence's array forms with checked arrays, or views of them
+    vars(seq).update(arrays)
+    return seq
+
+
+def _chosen_subsets(pairs, chose_x, chose_y) -> tuple[tuple[int, ...], ...]:
+    """Each pair's chosen elements, in pair order, from per-pair flags."""
+    return tuple(map(tuple, map(itertools.compress, pairs, zip(chose_x, chose_y))))
 
 
 def enumerate_pairs(B: DenseSubset, schedule: str = "diagonal", seed: int | None = None) -> ExperimentSequence:
@@ -76,16 +132,19 @@ def enumerate_pairs(B: DenseSubset, schedule: str = "diagonal", seed: int | None
     members = B.members
     if len(members) < 2:
         raise DomainError("need at least 2 members to form pairs")
-    positions = _diagonal_pairs(len(members))
+    # positions (i, j), i < j, ordered by anti-diagonal i + j, then row i
+    i, j = np.triu_indices(len(members), 1)
+    positions = np.column_stack([i, j])[np.lexsort((i, i + j))]
     if schedule == "shuffled":
         if seed is None:
             raise ConfigurationError("shuffled schedule needs a seed")
-        rng = np.random.default_rng(seed)
-        positions = [positions[i] for i in rng.permutation(len(positions))]
+        positions = positions[np.random.default_rng(seed).permutation(len(positions))]
     elif schedule != "diagonal":
         raise ConfigurationError(f"unknown schedule {schedule!r}")
-    pairs = tuple((members[i], members[j]) for i, j in positions)
-    return ExperimentSequence(B.space, B, pairs)
+    # the pair tuples share the members' int objects
+    pairs = tuple(zip(*np.array(members, dtype=object)[positions.T]))
+    index = _pair_array(np.asarray(members, dtype=np.int64)[positions], B.space.num_points)
+    return _with_arrays(ExperimentSequence(B.space, B, pairs), pair_array=index)
 
 
 def generate_choices(
@@ -107,41 +166,37 @@ def generate_choices(
         raise ConfigurationError("weak mode reports a single element; tie_policy 'both' is invalid")
     if tie_policy not in ("both", "first", "random"):
         raise ConfigurationError(f"unknown tie_policy {tie_policy!r}")
-    rng = np.random.default_rng(seed) if tie_policy == "random" else None
-    choices = []
-    for x, y in e.pairs:
-        optimal = p.optimal_of((x, y))
-        if mode == STRONG:
-            choices.append(tuple(optimal))
-        elif len(optimal) == 1 or tie_policy == "first":
-            choices.append((optimal[0],))
-        else:
-            choices.append((optimal[int(rng.integers(len(optimal)))],))
-    return ChoiceSequence(e, tuple(choices), mode)
+    rank = p.rank[e.pair_array]
+    chose = rank >= rank[:, ::-1]  # [i, 0]: x is optimal in pair i, [i, 1]: y is
+    if mode == WEAK:
+        ties = np.flatnonzero(chose.all(axis=1))
+        # one draw per tie, in pair order: 0 keeps x, 1 keeps y
+        kept = np.random.default_rng(seed).integers(2, size=len(ties)) if tie_policy == "random" else 0
+        chose[ties, 1 - kept] = False
+    c = ChoiceSequence(e, _chosen_subsets(e.pairs, *chose.T.tolist()), mode)
+    return _with_arrays(c, chose_mask=_frozen(chose))
 
 
 def restrict(e: ExperimentSequence, c: ChoiceSequence, k: int) -> tuple[ExperimentSequence, ChoiceSequence]:
-    """Prefix of the first k pairs and their choices."""
-    if k < 1:
-        raise DomainError("prefix order must be at least 1")
-    if k > len(e.pairs) or k > len(c.choices):
-        raise DomainError(f"prefix order {k} exceeds sequence length {len(e.pairs)}")
-    e_k = ExperimentSequence(e.space, e.B, e.pairs[:k])
-    c_k = ChoiceSequence(e_k, c.choices[:k], c.mode)
+    """Prefix of the first k pairs and their choices, with views of the full arrays (read, so checked, here)."""
+    if not 1 <= k <= min(len(e), len(c)):
+        raise DomainError(f"prefix order {k} is not between 1 and the sequence length {len(e)}")
+    pairs, chose = c.arrays_over(e)
+    e_k = _with_arrays(ExperimentSequence(e.space, e.B, e.pairs[:k]), pair_array=pairs[:k])
+    c_k = _with_arrays(ChoiceSequence(e_k, c.choices[:k], c.mode), chose_mask=chose[:k])
     return e_k, c_k
+
+
+_CSV_COLUMNS = ("k", "x_index", "y_index", "chose_x", "chose_y")
 
 
 def choices_to_csv(c: ChoiceSequence) -> str:
     """Interchange CSV with columns (k, x_index, y_index, chose_x, chose_y)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(["k", "x_index", "y_index", "chose_x", "chose_y"])
-    for k, ((x, y), chosen) in enumerate(zip(c.experiment.pairs, c.choices), start=1):
-        writer.writerow([k, x, y, int(x in chosen), int(y in chosen)])
+    writer.writerow(_CSV_COLUMNS)
+    writer.writerows(np.column_stack([np.arange(1, len(c) + 1), c.experiment.pair_array, c.chose_mask]).tolist())
     return buf.getvalue()
-
-
-_CSV_COLUMNS = ("k", "x_index", "y_index", "chose_x", "chose_y")
 
 
 def _int_row(row: dict, line: int) -> tuple[int, ...]:
@@ -152,30 +207,23 @@ def _int_row(row: dict, line: int) -> tuple[int, ...]:
 
 
 def choices_from_csv(text: str, space: OrderedSpace, mode: str) -> tuple[ExperimentSequence, ChoiceSequence]:
-    """Rebuild an experiment and its choices from interchange CSV.
+    """Rebuild an experiment and its choices from interchange CSV, rows in order of k.
 
-    The subset B is taken to be the set of point indices that appear. Rows
-    must be complete: every pair needs at least one chosen element.
+    The subset B is taken to be the set of point indices that appear. Both
+    sequences are checked here, as on their first read; missing columns, a
+    non-integer cell or no rows raise DomainError too.
     """
-    if mode not in (STRONG, WEAK):
-        raise ConfigurationError(f"unknown mode {mode!r}")
     reader = csv.DictReader(io.StringIO(text))
     required = set(_CSV_COLUMNS)
     if reader.fieldnames is None or not required.issubset(reader.fieldnames):
         raise DomainError(f"choice CSV needs columns {sorted(required)}")
     rows = sorted((_int_row(row, reader.line_num) for row in reader), key=lambda row: row[0])
-    pairs, choices, seen = [], [], set()
-    for k, x, y, chose_x, chose_y in rows:
-        if not (0 <= x < space.num_points and 0 <= y < space.num_points) or x == y:
-            raise DomainError(f"bad pair ({x}, {y}) at k={k}")
-        chosen = tuple(p for p, flag in ((x, chose_x), (y, chose_y)) if flag)
-        if not chosen:
-            raise DomainError(f"empty choice at k={k}")
-        pairs.append((x, y))
-        choices.append(chosen)
-        seen.update((x, y))
-    if not pairs:
+    if not rows:
         raise DomainError("empty choice CSV")
-    B = dense_subset(space, members=sorted(seen))
-    e = ExperimentSequence(space, B, tuple(pairs))
-    return e, ChoiceSequence(e, tuple(choices), mode)
+    _, x, y, chose_x, chose_y = zip(*rows)
+    pairs = tuple(zip(x, y))
+    index = _pair_array(pairs, space.num_points)
+    e = _with_arrays(ExperimentSequence(space, dense_subset(space, members=np.unique(index)), pairs), pair_array=index)
+    c = ChoiceSequence(e, _chosen_subsets(pairs, chose_x, chose_y), mode)
+    c.chose_mask  # a bad choice or mode fails the parse, not a later reader
+    return e, c

@@ -14,7 +14,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -603,7 +603,7 @@ def run_gallery(item: str, out_dir: str | None = None) -> dict:
 # report emission
 
 
-_CSV_COLUMNS = ("k", "delta_c", "diameter", "utility_dist", "consistent", "wall_time_ms")
+_CSV_COLUMNS = tuple(f.name for f in fields(ReportRow))
 
 
 def _cell(value) -> str:
@@ -620,15 +620,7 @@ def report_to_csv(report: ConvergenceReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(_CSV_COLUMNS)
-    for row in report.rows:
-        writer.writerow([
-            row.k,
-            _cell(row.delta_c),
-            _cell(row.diameter),
-            _cell(row.utility_dist),
-            _cell(row.consistent),
-            _cell(row.wall_time_ms),
-        ])
+    writer.writerows([_cell(value) for value in asdict(row).values()] for row in report.rows)
     return buf.getvalue()
 
 
@@ -636,42 +628,24 @@ def parse_report_csv(text: str) -> tuple[ReportRow, ...]:
     reader = csv.DictReader(io.StringIO(text))
     if reader.fieldnames is None or tuple(reader.fieldnames) != _CSV_COLUMNS:
         raise DomainError(f"report CSV needs columns {_CSV_COLUMNS}")
-    rows = []
-    for rec in reader:
-        rows.append(ReportRow(
-            k=int(rec["k"]),
-            delta_c=float(rec["delta_c"]) if rec["delta_c"] else None,
-            diameter=float(rec["diameter"]) if rec["diameter"] else None,
-            utility_dist=float(rec["utility_dist"]) if rec["utility_dist"] else None,
-            consistent=rec["consistent"] == "true",
-            wall_time_ms=float(rec["wall_time_ms"]) if rec["wall_time_ms"] else 0.0,
-        ))
-    return tuple(rows)
+    return tuple(ReportRow(
+        k=int(rec["k"]),
+        delta_c=float(rec["delta_c"]) if rec["delta_c"] else None,
+        diameter=float(rec["diameter"]) if rec["diameter"] else None,
+        utility_dist=float(rec["utility_dist"]) if rec["utility_dist"] else None,
+        consistent=rec["consistent"] == "true",
+        wall_time_ms=float(rec["wall_time_ms"]) if rec["wall_time_ms"] else 0.0,
+    ) for rec in reader)
 
 
 def report_to_json(report: ConvergenceReport) -> str:
-    doc = {
-        "metadata": report.metadata,
-        "rows": [
-            {
-                "k": row.k,
-                "delta_c": row.delta_c,
-                "diameter": row.diameter,
-                "utility_dist": row.utility_dist,
-                "consistent": row.consistent,
-                "wall_time_ms": row.wall_time_ms,
-            }
-            for row in report.rows
-        ],
-    }
+    doc = {"metadata": report.metadata, "rows": [asdict(row) for row in report.rows]}
     return json.dumps(doc, indent=2)
 
 
 def report_fingerprint(report: ConvergenceReport) -> str:
     """Hash of a report with timing zeroed; equal for identical seeded runs."""
-    doc = json.loads(report_to_json(report))
-    for row in doc["rows"]:
-        row["wall_time_ms"] = 0.0
+    doc = {"metadata": report.metadata, "rows": [dict(asdict(row), wall_time_ms=0.0) for row in report.rows]}
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

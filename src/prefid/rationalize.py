@@ -8,7 +8,6 @@ set of rationalizations.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -166,29 +165,6 @@ class ConsistencyResult:
     witness: tuple[int, ...] | None = None
 
 
-def _choice_arrays(e: ExperimentSequence, c: ChoiceSequence) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs as a (k, 2) array, and a (k, 2) mask of their chosen elements.
-
-    Every choice must be a nonempty subset of its pair.
-    """
-    k = len(e.pairs)
-    if k != len(c.choices):
-        raise DomainError("experiment and choices have different lengths")
-    pairs = np.fromiter(itertools.chain.from_iterable(e.pairs), dtype=np.int64, count=2 * k).reshape(k, 2)
-    sizes = np.fromiter(map(len, c.choices), dtype=np.int64, count=k)
-    chosen = np.fromiter(itertools.chain.from_iterable(c.choices), dtype=np.int64, count=sizes.sum())
-    owner = np.repeat(np.arange(k), sizes)
-    hits = chosen[:, None] == pairs[owner]
-    chose = np.zeros((k, 2), dtype=bool)
-    chose[owner[hits[:, 0]], 0] = True
-    chose[owner[hits[:, 1]], 1] = True
-    bad = ~chose.any(axis=1)
-    bad[owner[~hits.any(axis=1)]] = True
-    if bad.any():
-        raise DomainError(f"choice at k={bad.argmax() + 1} is empty or not a subset of its pair")
-    return pairs, chose
-
-
 def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monotone: str = "none") -> RevealedRelation:
     """Revealed comparisons from the data plus optional monotonicity edges.
 
@@ -202,7 +178,7 @@ def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monot
         raise ConfigurationError(f"unknown mode {mode!r}")
     if monotone not in ("none", "weak", "strict"):
         raise ConfigurationError(f"unknown monotone class {monotone!r}")
-    pairs, chose = _choice_arrays(e, c)
+    pairs, chose = c.arrays_over(e)
     n = e.space.num_points
     # slot 2i reveals x over y when pair i's x is chosen, slot 2i + 1 y over x
     revealed = np.flatnonzero(chose)
@@ -765,7 +741,7 @@ def _replay_mask(ranks: np.ndarray, e: ExperimentSequence, c: ChoiceSequence) ->
     A chosen element must be at least as good as its opponent; in strong
     mode an element left out must not be.
     """
-    pairs, chose = _choice_arrays(e, c)
+    pairs, chose = c.arrays_over(e)
     rank_x, rank_y = ranks[:, pairs[:, 0]], ranks[:, pairs[:, 1]]
     if c.mode == STRONG:
         ok = ((rank_x >= rank_y) == chose[:, 0]) & ((rank_y >= rank_x) == chose[:, 1])

@@ -91,8 +91,7 @@ class OrderedSpace:
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """Pairwise max-coordinate distances, shape (n, n)."""
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return _frozen(np.abs(diff).max(axis=2))
+        return _frozen(_coordinatewise(self.points, _gap, np.maximum))
 
     @cached_property
     def distance_values(self) -> np.ndarray:
@@ -130,12 +129,18 @@ def _validate_chain(points: np.ndarray, weak: np.ndarray, strict: np.ndarray, ch
         raise ConfigurationError("reference chain does not bound the space")
 
 
-def _order_from_aligned(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weak/strict order matrices from coordinates on which >= is the order."""
-    diff = coords[:, None, :] - coords[None, :, :]
-    weak = (diff >= 0).all(axis=2)
-    strict_all = (diff > 0).all(axis=2)
-    return weak, strict_all
+def _coordinatewise(coords: np.ndarray, compare, combine) -> np.ndarray:
+    """combine.reduce(compare(coords[:, None, :], coords[None, :, :]), axis=2), built one
+    coordinate at a time: it holds two (n, n) arrays, never the (n, n, d) comparison."""
+    out = compare(coords[:, 0, None], coords[None, :, 0])
+    for column in coords.T[1:]:
+        combine(out, compare(column[:, None], column[None, :]), out=out)
+    return out
+
+
+def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    gap = a - b
+    return np.abs(gap, out=gap)
 
 
 def make_grid_euclidean(dims: int, resolution: int, bounds) -> OrderedSpace:
@@ -155,7 +160,8 @@ def make_grid_euclidean(dims: int, resolution: int, bounds) -> OrderedSpace:
     axes = [np.linspace(bounds[i, 0], bounds[i, 1], resolution) for i in range(dims)]
     levels = list(itertools.product(range(resolution), repeat=dims))
     points = np.array([[axes[i][lv[i]] for i in range(dims)] for lv in levels])
-    weak, strict = _order_from_aligned(points)
+    weak = _coordinatewise(points, np.greater_equal, np.logical_and)
+    strict = _coordinatewise(points, np.greater, np.logical_and)
     # equal-coordinates diagonal: level (l, ..., l) for each l
     ratio = (resolution**dims - 1) // (resolution - 1)
     chain = tuple(l * ratio for l in range(resolution))
@@ -187,11 +193,8 @@ def make_lottery_simplex(num_prizes: int, resolution: int) -> OrderedSpace:
         raise ConfigurationError("need resolution >= 1")
     counts = np.array(list(_compositions(resolution, num_prizes)), dtype=int)
     points = counts / resolution
-    cum = np.cumsum(counts, axis=1)  # cumulative from the best prize
-    ge = (cum[:, None, :] >= cum[None, :, :]).all(axis=2)
-    eq = (counts[:, None, :] == counts[None, :, :]).all(axis=2)
-    weak = ge
-    strict = ge & ~eq
+    weak = _coordinatewise(np.cumsum(counts, axis=1), np.greater_equal, np.logical_and)  # cumulative from the best
+    strict = weak & ~_coordinatewise(counts, np.equal, np.logical_and)
     # chain: two-point mixtures of worst and best, worst-heavy first
     chain = []
     for m in range(resolution + 1):
@@ -219,10 +222,8 @@ def make_dated_rewards(money_resolution: int, time_resolution: int, bounds) -> O
     money = np.linspace(bounds[0, 0], bounds[0, 1], money_resolution)
     times = np.linspace(bounds[1, 0], bounds[1, 1], time_resolution)
     points = np.array([(m, t) for m in money for t in times])
-    aligned = np.column_stack([points[:, 0], -points[:, 1]])
-    weak, _ = _order_from_aligned(aligned)
-    eq = weak & weak.T
-    strict = weak & ~eq
+    weak = _coordinatewise(np.column_stack([points[:, 0], -points[:, 1]]), np.greater_equal, np.logical_and)
+    strict = weak & ~weak.T
     chain = [mi * time_resolution + (time_resolution - 1) for mi in range(money_resolution)]
     chain += [(money_resolution - 1) * time_resolution + ti for ti in range(time_resolution - 2, -1, -1)]
     step = float(max((bounds[0, 1] - bounds[0, 0]) / (money_resolution - 1),
@@ -257,8 +258,7 @@ def make_aa_acts(num_states: int, lottery: OrderedSpace, point_budget: int = _AA
     for s in range(num_states):
         idx = np.array([c[s] for c in combos])
         weak &= lw[np.ix_(idx, idx)]
-    eq = weak & weak.T
-    strict = weak & ~eq
+    strict = weak & ~weak.T
     index_of = {c: i for i, c in enumerate(combos)}
     chain = tuple(index_of[(ci,) * num_states] for ci in lottery.chain)
     desc = {
@@ -286,9 +286,10 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
         raise ConfigurationError("points must be finite numbers, or equal-length nonempty lists of them")
     if points.shape[0] < 2:
         raise ConfigurationError("need at least 2 points")
-    weak, strict = _order_from_aligned(points)
-    diff = np.abs(points[:, None, :] - points[None, :, :]).max(axis=2)
-    off_diagonal = diff[~np.eye(points.shape[0], dtype=bool)]
+    weak = _coordinatewise(points, np.greater_equal, np.logical_and)
+    strict = _coordinatewise(points, np.greater, np.logical_and)
+    distance = _coordinatewise(points, _gap, np.maximum)
+    off_diagonal = distance[~np.eye(points.shape[0], dtype=bool)]
     if (off_diagonal == 0).any():
         raise ConfigurationError("points must be distinct")
     desc = {"kind": "euclidean_points", "points": points.tolist()}

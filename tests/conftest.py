@@ -85,3 +85,28 @@ def longest_path_ranks(num_points, edges):
             out_of[x] = max(out_of[x], out_of[y] + int(strict))
             into[y] = max(into[y], into[x] + int(strict))
     return out_of, [max(into) - depth for depth in into]
+
+
+def naive_diagonal_pairs(m):
+    """Positions (i, j), i < j, of an m-member subset, by anti-diagonal then row."""
+    out = []
+    for s in range(1, 2 * m - 2):
+        for i in range(max(0, s - m + 1), (s - 1) // 2 + 1):
+            out.append((i, s - i))
+    return out
+
+
+def naive_choices(p, pairs, mode, tie_policy="both", seed=None):
+    """Choices pair by pair from the optimal sets: the whole set in strong
+    mode, in weak mode its first element or one seeded draw per tie."""
+    rng = np.random.default_rng(seed) if tie_policy == "random" else None
+    out = []
+    for x, y in pairs:
+        optimal = p.optimal_of((x, y))
+        if mode == "strong":
+            out.append(tuple(optimal))
+        elif len(optimal) == 1 or tie_policy == "first":
+            out.append((optimal[0],))
+        else:
+            out.append((optimal[int(rng.integers(len(optimal)))],))
+    return tuple(out)

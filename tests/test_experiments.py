@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import naive_choices, naive_diagonal_pairs
 from prefid import (
     ChoiceSequence,
     ConfigurationError,
@@ -11,6 +14,7 @@ from prefid import (
     choices_to_csv,
     dense_subset,
     enumerate_pairs,
+    from_points,
     from_utility,
     generate_choices,
     restrict,
@@ -92,6 +96,34 @@ class TestEnumeratePairs:
     def test_singleton_subset_rejected(self, line5):
         with pytest.raises(DomainError):
             enumerate_pairs(dense_subset(line5, members=[2]))
+
+
+@st.composite
+def _experiments(draw):
+    """A point line, a subset of at least two members, a schedule and utility values with ties."""
+    n = draw(st.integers(2, 12))
+    members = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True).map(sorted))
+    schedule = draw(st.sampled_from(["diagonal", "shuffled"]))
+    seed = draw(st.integers(0, 2**16)) if schedule == "shuffled" else None
+    values = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return from_points(np.arange(float(n))), members, schedule, seed, np.array(values, dtype=float)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_experiments(), choice_seed=st.integers(0, 2**16))
+def test_pairs_and_choices_match_naive_loops(case, choice_seed):
+    space, members, schedule, seed, values = case
+    e = enumerate_pairs(dense_subset(space, members=members), schedule, seed)
+    positions = naive_diagonal_pairs(len(members))
+    if schedule == "shuffled":
+        positions = [positions[i] for i in np.random.default_rng(seed).permutation(len(positions))]
+    assert e.pairs == tuple((members[i], members[j]) for i, j in positions)
+    assert e.pair_array.tolist() == [list(pair) for pair in e.pairs]
+    p = from_utility(space, values)
+    for mode, tie, s in (("strong", "both", None), ("weak", "first", None), ("weak", "random", choice_seed)):
+        c = generate_choices(p, e, mode, tie_policy=tie, seed=s)
+        assert c.choices == naive_choices(p, e.pairs, mode, tie, s)
+        assert c.chose_mask.tolist() == [[x in ch, y in ch] for (x, y), ch in zip(e.pairs, c.choices)]
 
 
 class TestGenerateChoices:

@@ -8,7 +8,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 from prefid import ConfigurationError, DomainError
@@ -381,6 +381,10 @@ class TestCli:
         pytest.param(["check"], None, CSV_HEADER + "abc,0,1,0,1\n", id="k_not_integer"),
         pytest.param(["check"], None, CSV_HEADER + "1,0,1\n", id="short_row"),
         pytest.param(["diameter", "--samples", "-1"], None, CSV_HEADER + "1,0,1,0,1\n", id="negative_samples"),
+        *[pytest.param([command], None, CSV_HEADER + row, id=f"{command}_{name}")
+          for command in ("check", "diameter")
+          for name, row in (("negative_index", "1,-1,0,1,0\n"), ("index_past_end", "1,0,5,1,0\n"),
+                            ("self_pair", "1,2,2,1,0\n"), ("empty_choice", "1,0,1,0,0\n"))],
         *[pytest.param(["check"], *bad.values, CSV_HEADER + "1,0,1,0,1\n", id=bad.id) for bad in BAD_DESCRIPTORS],
     ])
     def test_check_missing_file_exits_2(self, cli_space, tmp_path, capsys, command, space_doc, csv_text):
@@ -511,8 +515,8 @@ def _num_points(doc) -> int:
 @given(doc=FUZZED_DESCRIPTORS)
 def test_fuzzed_descriptor_exits_cleanly(tmp_path_factory, doc):
     # any descriptor maps to exit 0, 2 or 3, never a traceback. Grids and act
-    # spaces have no point budget below 4,096 points yet, and their (n, n, d)
-    # difference arrays reach 0.4 GB there, so larger draws are skipped
+    # spaces have no point budget below 4,096 points yet, and their (n, n)
+    # matrices make such draws slow, so draws beyond 256 points are skipped
     assume(_num_points(doc) <= 256)
     folder = tmp_path_factory.mktemp("fuzz")
     space, data = folder / "space.json", folder / "choices.csv"
@@ -521,3 +525,55 @@ def test_fuzzed_descriptor_exits_cleanly(tmp_path_factory, doc):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(["check", "--data", str(data), "--space", str(space), "--mode", "strong"])
     assert code in (0, 2, 3)
+
+
+_CSV_DEFECTS = ("none", "missing_column", "extra_column", "short_row", "long_row",
+                "", "x", "1.5", "-1", "5", "99999999999999999999")  # the last six replace one cell
+
+
+@st.composite
+def _choice_csv(draw):
+    """Choice CSV text over a 5-point space: the columns in any order, rows
+    with self pairs, empty and double choices, and at most one defect: a
+    column missing or extra, a row short or long, or one cell that is not
+    an integer, negative, past the last point or beyond 64 bits."""
+    columns = list(draw(st.permutations(CSV_HEADER.strip().split(","))))
+    rows = []
+    for k in range(1, draw(st.integers(0, 5)) + 1):
+        chose_x, chose_y = draw(st.sampled_from([(1, 0), (0, 1), (1, 0), (0, 1), (1, 1), (0, 0)]))
+        cells = {"k": k, "x_index": draw(st.integers(0, 4)), "y_index": draw(st.integers(0, 4)),
+                 "chose_x": chose_x, "chose_y": chose_y}
+        rows.append([str(cells[name]) for name in columns])
+    defect = draw(st.sampled_from(_CSV_DEFECTS))
+    if defect == "missing_column":
+        dropped = draw(st.integers(0, 4))
+        for line in [columns, *rows]:
+            del line[dropped]
+    elif defect == "extra_column":
+        columns.append("note")
+        for row in rows:
+            row.append("n")
+    elif rows and defect != "none":
+        row = draw(st.sampled_from(rows))
+        if defect == "short_row":
+            row.pop()
+        elif defect == "long_row":
+            row.append("0")
+        else:
+            row[draw(st.integers(0, 4))] = defect
+    return "\n".join(",".join(line) for line in [columns, *rows]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_choice_csv())
+def test_fuzzed_choice_csv_exits_cleanly(tmp_path_factory, text):
+    # any choice CSV maps to exit 0, 2 or 3 in both commands that read one, never a traceback
+    folder = tmp_path_factory.mktemp("fuzz")
+    space, data = folder / "space.json", folder / "choices.csv"
+    space.write_text(json.dumps({"kind": "euclidean_points", "points": [0.0, 0.1, 0.3, 0.7, 1.5]}))
+    data.write_text(text)
+    for command in ("check", "diameter"):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--data", str(data), "--space", str(space), "--mode", "strong"])
+        event(f"{command} exit {code}")
+        assert code in (0, 2, 3)

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from prefid import (
     CapacityError,
+    ChoiceSequence,
     ConfigurationError,
     DomainError,
+    ExperimentSequence,
     PreconditionError,
     ResolutionError,
     dense_subset,
@@ -27,6 +29,7 @@ from prefid import (
     generate_choices,
     make_grid_euclidean,
     make_lottery_simplex,
+    restrict,
 )
 from prefid.preferences import closed_convergence_distance
 from prefid.rationalize import (
@@ -145,11 +148,41 @@ class TestRevealedRelation:
                 with pytest.raises(DomainError):
                     brute_force_rationalizations(e, bad)
 
+    @pytest.mark.parametrize("pair, chosen, mode, error", [
+        pytest.param((-1, 0), (0,), "strong", DomainError, id="negative_index"),
+        pytest.param((0, 5), (0,), "strong", DomainError, id="index_past_end"),
+        pytest.param((2, 2), (2,), "weak", DomainError, id="self_pair"),
+        pytest.param((0, 3), (3,), "loud", ConfigurationError, id="unknown_mode"),
+    ])
+    def test_malformed_pair_or_mode_rejected(self, line5, pair, chosen, mode, error):
+        # every reader of the data refuses it; none reads -1 as the last point
+        e = ExperimentSequence(line5, dense_subset(line5), (pair,))
+        c = ChoiceSequence(e, (chosen,), mode)
+        flat = from_utility(line5, np.zeros(5))
+        readers = (
+            lambda: revealed_relation(e, c, "weak"),
+            lambda: rationalizes(flat, e, c),
+            lambda: brute_force_rationalizations(e, c),
+            lambda: diameter_estimate(e, c),
+        )
+        for read in readers:
+            with pytest.raises(error):
+                read()
+
     def test_length_mismatch_rejected(self, line5):
         e, c = dataset(line5, [(0, 3, (3,)), (0, 1, (1,))], "weak")
         short = type(c)(e, c.choices[:1], "weak")
         with pytest.raises(DomainError):
             revealed_relation(e, short, "weak")
+
+    def test_choices_over_another_experiment_rejected(self, line5):
+        e, _ = dataset(line5, [(0, 1, (1,)), (1, 2, (2,)), (2, 3, (3,))], "strong")
+        _, other = dataset(line5, [(3, 4, (4,))], "strong")
+        flat = from_utility(line5, np.zeros(5))
+        for read in (lambda: revealed_relation(e, other, "strong"), lambda: rationalizes(flat, e, other),
+                     lambda: restrict(e, other, 1)):
+            with pytest.raises(DomainError):
+                read()
 
     def test_unknown_mode_and_class_rejected(self, line5):
         e, c = dataset(line5, [(0, 3, (3,))], "weak")

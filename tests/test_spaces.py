@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,56 @@ def naive_dominance(points):
             weak[i, j] = all(a >= b for a, b in zip(points[i], points[j]))
             strict[i, j] = all(a > b for a, b in zip(points[i], points[j]))
     return weak, strict
+
+
+def broadcast_compare(coords):
+    """Distance, >= and > matrices of coordinate rows through the (n, n, d) difference array."""
+    diff = coords[:, None, :] - coords[None, :, :]
+    return np.abs(diff).max(axis=2), (diff >= 0).all(axis=2), (diff > 0).all(axis=2)
+
+
+def broadcast_orders(space):
+    """Weak and strict order of a space by broadcasting the coordinates its order compares."""
+    if space.kind in ("euclidean_grid", "euclidean_points"):
+        return broadcast_compare(space.points)[1:]
+    if space.kind == "dated_rewards":  # more money, earlier date
+        weak = broadcast_compare(space.points * [1, -1])[1]
+    else:  # lotteries and acts: cumulative prize counts, best prize first, per state
+        counts = np.rint(space.points * space.descriptor["resolution"]).astype(int)
+        cumulative = counts.reshape(space.num_points, -1, space.descriptor["num_prizes"]).cumsum(axis=2)
+        weak = broadcast_compare(cumulative.reshape(space.num_points, -1))[1]
+    return weak, weak & ~weak.T
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: make_grid_euclidean(3, 3, (0.0, 1.0)), id="euclidean_grid"),
+    pytest.param(lambda: from_points(np.random.default_rng(3).normal(size=(20, 3)).round(1)), id="euclidean_points"),
+    pytest.param(lambda: make_dated_rewards(3, 4, ((0.0, 1.0), (0.0, 2.0))), id="dated_rewards"),
+    pytest.param(lambda: make_lottery_simplex(3, 4), id="lottery_simplex"),
+    pytest.param(lambda: make_aa_acts(2, make_lottery_simplex(3, 2)), id="aa_acts"),
+])
+def test_matrices_match_broadcast_oracle(make):
+    space = make()
+    distance = broadcast_compare(space.points)[0]
+    weak, strict = broadcast_orders(space)
+    assert np.array_equal(space.distance_matrix, distance)
+    assert np.array_equal(space.weak_order, weak)
+    assert np.array_equal(space.strict_order, strict)
+    if space.kind == "euclidean_points":
+        assert space.step == distance[distance > 0].min()
+
+
+def test_act_space_matrices_stay_under_64_mb():
+    # 1,296 acts with 12 coordinates: an (n, n, d) float array alone is 161 MB
+    tracemalloc.start()
+    try:
+        space = space_from_descriptor({"kind": "aa_acts", "num_prizes": 3, "resolution": 2, "num_states": 4})
+        space.distance_matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.points.shape == (1296, 12)
+    assert peak < 64e6
 
 
 class TestGrid:
