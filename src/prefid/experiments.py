@@ -3,8 +3,10 @@
 An experiment is an enumeration of all unordered pairs from a designated
 subset of alternatives. Choice data is generated from a preference either
 with exact optimal sets (strong observability) or one reported maximal
-element per pair (weak observability). This module alone turns the
-tuples of a sequence into the array form every reader works on.
+element per pair (weak observability). A sequence stores its pairs and
+choices as checked (k, 2) arrays, the one form every reader works on, and
+derives tuple views from them only when those are read. This module alone
+turns tuples given to a constructor into that array form.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -35,67 +38,92 @@ STRONG = "strong"
 WEAK = "weak"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentSequence:
     """An ordered list of binary menus over a subset B of the space.
 
-    Construction checks nothing. `pair_array`, the pairs as a read-only
-    (k, 2) int64 array, is built on first read, which raises DomainError
-    unless every pair is two distinct point indices of the space.
+    The sequence stores the pairs it is given: a (k, 2) array of point
+    indices, or a sequence of index pairs. Construction checks nothing.
+    `pair_array`, the pairs as a read-only (k, 2) int64 array, is built on
+    first read, which raises DomainError unless every pair is two distinct
+    point indices of the space; an array passed in is kept, not copied.
+    `pairs`, the same pairs as tuples of Python ints, is derived from it on
+    first read.
     """
 
     space: OrderedSpace
     B: DenseSubset
-    pairs: tuple[tuple[int, int], ...]
+    _pairs: np.ndarray | Sequence = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self._pairs)
 
     @cached_property
     def pair_array(self) -> np.ndarray:
-        return _pair_array(self.pairs, self.space.num_points)
+        return _pair_array(self._pairs, self.space.num_points)
+
+    @cached_property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.pair_array.T.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiceSequence:
     """Observed choices, one nonempty subset of each pair, plus the mode tag.
 
-    Construction checks nothing. `chose_mask`, a read-only (k, 2) bool
-    array ([i, 0]: pair i's x was chosen, [i, 1]: its y), is built on first
-    read, which raises ConfigurationError for an unknown mode and
-    DomainError for a malformed pair of `experiment`, a choice count unlike
-    its pair count, or a choice that is empty or not a subset of its pair.
+    The sequence stores the choices it is given: a (k, 2) bool array
+    ([i, 0]: pair i's x was chosen, [i, 1]: its y), or one tuple of chosen
+    point indices per pair. Construction checks nothing. `chose_mask`, the
+    choices as a read-only (k, 2) bool array, is built on first read, which
+    raises ConfigurationError for an unknown mode and DomainError for a
+    choice count unlike the pair count, an empty choice, or (for tuples) a
+    malformed pair of `experiment` or a choice that is not a subset of its
+    pair. `choices`, the chosen tuples in pair order, is derived from the
+    mask and `experiment.pair_array` on first read.
     """
 
     experiment: ExperimentSequence
-    choices: tuple[tuple[int, ...], ...]
+    _choices: np.ndarray | Sequence = field(repr=False)
     mode: str
 
     def __len__(self) -> int:
-        return len(self.choices)
+        return len(self._choices)
 
     @cached_property
     def chose_mask(self) -> np.ndarray:
         if self.mode not in (STRONG, WEAK):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
         k = len(self.experiment)
-        if len(self.choices) != k:
+        if len(self._choices) != k:
             raise DomainError("experiment and choices have different lengths")
-        sizes = np.fromiter(map(len, self.choices), dtype=np.int64, count=k)
-        chosen = np.fromiter(itertools.chain.from_iterable(self.choices), dtype=np.int64, count=sizes.sum())
-        owner = np.repeat(np.arange(k), sizes)
-        hit, side = np.nonzero(chosen[:, None] == self.experiment.pair_array[owner])
-        chose = np.zeros((k, 2), dtype=bool)
-        chose[owner[hit], side] = True
-        # a pair's two sides differ, so a choice inside its pair hits once per element
-        bad = ~chose.any(axis=1) | (np.bincount(owner[hit], minlength=k) != sizes)
+        if isinstance(self._choices, np.ndarray) and self._choices.dtype == bool:
+            chose = self._choices
+            if chose.shape != (k, 2):
+                raise DomainError("a choice mask holds two flags per pair")
+            bad = ~chose.any(axis=1)
+        else:
+            sizes = np.fromiter(map(len, self._choices), dtype=np.int64, count=k)
+            chosen = np.fromiter(itertools.chain.from_iterable(self._choices), dtype=np.int64, count=sizes.sum())
+            owner = np.repeat(np.arange(k), sizes)
+            hit, side = np.nonzero(chosen[:, None] == self.experiment.pair_array[owner])
+            chose = np.zeros((k, 2), dtype=bool)
+            chose[owner[hit], side] = True
+            # a pair's two sides differ, so a choice inside its pair hits once per element
+            bad = ~chose.any(axis=1) | (np.bincount(owner[hit], minlength=k) != sizes)
         if bad.any():
             raise DomainError(f"choice at k={bad.argmax() + 1} is empty or not a subset of its pair")
         return _frozen(chose)
 
+    @cached_property
+    def choices(self) -> tuple[tuple[int, ...], ...]:
+        xs, ys = self.experiment.pair_array.T.tolist()
+        chose_x, chose_y = self.chose_mask.T.tolist()
+        return tuple([(x, y) if cx and cy else (x,) if cx else (y,)
+                      for x, y, cx, cy in zip(xs, ys, chose_x, chose_y)])
+
     def arrays_over(self, e: ExperimentSequence) -> tuple[np.ndarray, np.ndarray]:
         """e's pair array and this chose_mask; DomainError unless these are choices over e's pairs."""
-        if self.experiment is not e and self.experiment.pairs != e.pairs:
+        if self.experiment is not e and not np.array_equal(self.experiment.pair_array, e.pair_array):
             raise DomainError("the choices were made over another experiment")
         return e.pair_array, self.chose_mask
 
@@ -110,17 +138,6 @@ def _pair_array(pairs, n: int) -> np.ndarray:
     if bad.any():
         raise DomainError(f"pair {arr[bad][0].tolist()} at k={bad.argmax() + 1} is not two distinct indices below {n}")
     return _frozen(arr)
-
-
-def _with_arrays(seq, **arrays):
-    # fill a sequence's array forms with checked arrays, or views of them
-    vars(seq).update(arrays)
-    return seq
-
-
-def _chosen_subsets(pairs, chose_x, chose_y) -> tuple[tuple[int, ...], ...]:
-    """Each pair's chosen elements, in pair order, from per-pair flags."""
-    return tuple(map(tuple, map(itertools.compress, pairs, zip(chose_x, chose_y))))
 
 
 def enumerate_pairs(B: DenseSubset, schedule: str = "diagonal", seed: int | None = None) -> ExperimentSequence:
@@ -141,10 +158,8 @@ def enumerate_pairs(B: DenseSubset, schedule: str = "diagonal", seed: int | None
         positions = positions[np.random.default_rng(seed).permutation(len(positions))]
     elif schedule != "diagonal":
         raise ConfigurationError(f"unknown schedule {schedule!r}")
-    # the pair tuples share the members' int objects
-    pairs = tuple(zip(*np.array(members, dtype=object)[positions.T]))
-    index = _pair_array(np.asarray(members, dtype=np.int64)[positions], B.space.num_points)
-    return _with_arrays(ExperimentSequence(B.space, B, pairs), pair_array=index)
+    pairs = _pair_array(np.asarray(members, dtype=np.int64)[positions], B.space.num_points)
+    return ExperimentSequence(B.space, B, pairs)
 
 
 def generate_choices(
@@ -173,8 +188,7 @@ def generate_choices(
         # one draw per tie, in pair order: 0 keeps x, 1 keeps y
         kept = np.random.default_rng(seed).integers(2, size=len(ties)) if tie_policy == "random" else 0
         chose[ties, 1 - kept] = False
-    c = ChoiceSequence(e, _chosen_subsets(e.pairs, *chose.T.tolist()), mode)
-    return _with_arrays(c, chose_mask=_frozen(chose))
+    return ChoiceSequence(e, _frozen(chose), mode)
 
 
 def restrict(e: ExperimentSequence, c: ChoiceSequence, k: int) -> tuple[ExperimentSequence, ChoiceSequence]:
@@ -182,9 +196,8 @@ def restrict(e: ExperimentSequence, c: ChoiceSequence, k: int) -> tuple[Experime
     if not 1 <= k <= min(len(e), len(c)):
         raise DomainError(f"prefix order {k} is not between 1 and the sequence length {len(e)}")
     pairs, chose = c.arrays_over(e)
-    e_k = _with_arrays(ExperimentSequence(e.space, e.B, e.pairs[:k]), pair_array=pairs[:k])
-    c_k = _with_arrays(ChoiceSequence(e_k, c.choices[:k], c.mode), chose_mask=chose[:k])
-    return e_k, c_k
+    e_k = ExperimentSequence(e.space, e.B, pairs[:k])
+    return e_k, ChoiceSequence(e_k, chose[:k], c.mode)
 
 
 _CSV_COLUMNS = ("k", "x_index", "y_index", "chose_x", "chose_y")
@@ -220,10 +233,8 @@ def choices_from_csv(text: str, space: OrderedSpace, mode: str) -> tuple[Experim
     rows = sorted((_int_row(row, reader.line_num) for row in reader), key=lambda row: row[0])
     if not rows:
         raise DomainError("empty choice CSV")
-    _, x, y, chose_x, chose_y = zip(*rows)
-    pairs = tuple(zip(x, y))
-    index = _pair_array(pairs, space.num_points)
-    e = _with_arrays(ExperimentSequence(space, dense_subset(space, members=np.unique(index)), pairs), pair_array=index)
-    c = ChoiceSequence(e, _chosen_subsets(pairs, chose_x, chose_y), mode)
+    index = _pair_array([row[1:3] for row in rows], space.num_points)
+    e = ExperimentSequence(space, dense_subset(space, members=np.unique(index)), index)
+    c = ChoiceSequence(e, np.array([row[3:] for row in rows], dtype=bool), mode)
     c.chose_mask  # a bad choice or mode fails the parse, not a later reader
     return e, c

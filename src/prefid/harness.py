@@ -423,8 +423,8 @@ def _gallery_motivating_01() -> dict:
     ok = True
     for k in (1, 2, 4, 8, 16, 32, 50):
         e_k, c_k = restrict(e, c, k)
-        e_aug = ExperimentSequence(space, B, e_k.pairs + ((lo, hi),))
-        c_aug = ChoiceSequence(e_aug, c_k.choices + ((lo,),), STRONG)
+        e_aug = ExperimentSequence(space, B, np.vstack([e_k.pair_array, (lo, hi)]))
+        c_aug = ChoiceSequence(e_aug, np.vstack([c_k.chose_mask, (True, False)]), STRONG)
         r = revealed_relation(e_aug, c_aug, STRONG)
         consistent = check_consistency(r).consistent
         pref = extend_preference(r, RationalizationPolicy()) if consistent else None

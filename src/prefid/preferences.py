@@ -7,8 +7,6 @@ intransitive limit relations are plain boolean matrices.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -31,8 +29,6 @@ __all__ = [
     "li_ls_limit",
     "preference_to_json",
     "preference_from_json",
-    "relation_pairs",
-    "graph_to_csv",
 ]
 
 _EPS = 1e-12
@@ -84,12 +80,6 @@ class Preference:
     def num_classes(self) -> int:
         return int(self.rank.max()) + 1
 
-    def optimal_of(self, indices) -> list[int]:
-        """The maximal elements of a menu (list of point indices)."""
-        idx = list(indices)
-        best = max(self.rank[i] for i in idx)
-        return [i for i in idx if self.rank[i] == best]
-
     def __eq__(self, other):
         if not isinstance(other, Preference):
             return NotImplemented
@@ -114,11 +104,6 @@ class BinaryRelation:
         m = np.ascontiguousarray(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-
-    @property
-    def pairs(self) -> set[tuple[int, int]]:
-        ii, jj = np.nonzero(self.matrix)
-        return {(int(i), int(j)) for i, j in zip(ii, jj)}
 
     def is_complete(self) -> bool:
         return bool((self.matrix | self.matrix.T).all())
@@ -305,19 +290,3 @@ def preference_from_json(text: str, space: OrderedSpace | None = None) -> Prefer
     sp = space if space is not None else space_from_descriptor(doc["space_ref"])
     return Preference(sp, np.asarray(doc["ranks"], dtype=int))
 
-
-def relation_pairs(r) -> list[list[int]]:
-    """Sorted pair list of a relation, for JSON embedding."""
-    rel = _as_relation(r)
-    return [[int(i), int(j)] for i, j in sorted(rel.pairs)]
-
-
-def graph_to_csv(r) -> str:
-    """CSV text of a relation's graph, columns (i, j)."""
-    rel = _as_relation(r)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["i", "j"])
-    for i, j in sorted(rel.pairs):
-        writer.writerow([i, j])
-    return buf.getvalue()

@@ -98,14 +98,6 @@ class RevealedRelation:
         return tuple(RevealedEdge(x, y, strict, _SOURCES[source], k or None)
                      for x, y, strict, source, k in zip(*columns))
 
-    @property
-    def weak_edges(self) -> set[tuple[int, int]]:
-        return set(zip(self.x[~self.strict].tolist(), self.y[~self.strict].tolist()))
-
-    @property
-    def strict_edges(self) -> set[tuple[int, int]]:
-        return set(zip(self.x[self.strict].tolist(), self.y[self.strict].tolist()))
-
     @cached_property
     def arc_matrix(self) -> np.ndarray:
         """All edges as one adjacency matrix: [i, j] iff i revealed at-least j."""

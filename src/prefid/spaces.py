@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,19 +28,12 @@ __all__ = [
     "make_aa_acts",
     "from_points",
     "dense_subset",
-    "fosd_compare",
-    "squeeze_envelopes",
     "check_countable_order_property",
     "space_to_descriptor",
     "space_from_descriptor",
 ]
 
-GREATER = "greater"
-LESS = "less"
-EQUAL = "equal"
-INCOMPARABLE = "incomparable"
-
-_AA_POINT_BUDGET = 4096
+_POINT_BUDGET = 4096
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -129,6 +123,13 @@ def _validate_chain(points: np.ndarray, weak: np.ndarray, strict: np.ndarray, ch
         raise ConfigurationError("reference chain does not bound the space")
 
 
+def _check_budget(kind: str, num_points: int) -> None:
+    """CapacityError unless the space fits the point budget; every builder
+    calls this before its first (n, n) allocation."""
+    if num_points > _POINT_BUDGET:
+        raise CapacityError(f"a {kind} space of {num_points} points exceeds the budget of {_POINT_BUDGET}")
+
+
 def _coordinatewise(coords: np.ndarray, compare, combine) -> np.ndarray:
     """combine.reduce(compare(coords[:, None, :], coords[None, :, :]), axis=2), built one
     coordinate at a time: it holds two (n, n) arrays, never the (n, n, d) comparison."""
@@ -157,6 +158,7 @@ def make_grid_euclidean(dims: int, resolution: int, bounds) -> OrderedSpace:
         bounds = np.tile(bounds, (dims, 1))
     if bounds.shape != (dims, 2) or not (bounds[:, 1] > bounds[:, 0]).all():
         raise ConfigurationError("bounds must be nondegenerate intervals, one per dim")
+    _check_budget("euclidean_grid", resolution**dims)
     axes = [np.linspace(bounds[i, 0], bounds[i, 1], resolution) for i in range(dims)]
     levels = list(itertools.product(range(resolution), repeat=dims))
     points = np.array([[axes[i][lv[i]] for i in range(dims)] for lv in levels])
@@ -191,6 +193,7 @@ def make_lottery_simplex(num_prizes: int, resolution: int) -> OrderedSpace:
         raise ConfigurationError("need num_prizes >= 2")
     if resolution < 1:
         raise ConfigurationError("need resolution >= 1")
+    _check_budget("lottery_simplex", math.comb(resolution + num_prizes - 1, num_prizes - 1))
     counts = np.array(list(_compositions(resolution, num_prizes)), dtype=int)
     points = counts / resolution
     weak = _coordinatewise(np.cumsum(counts, axis=1), np.greater_equal, np.logical_and)  # cumulative from the best
@@ -219,6 +222,7 @@ def make_dated_rewards(money_resolution: int, time_resolution: int, bounds) -> O
     bounds = np.asarray(bounds, dtype=float)
     if bounds.shape != (2, 2) or not (bounds[:, 1] > bounds[:, 0]).all():
         raise ConfigurationError("bounds must be ((money_lo, money_hi), (time_lo, time_hi))")
+    _check_budget("dated_rewards", money_resolution * time_resolution)
     money = np.linspace(bounds[0, 0], bounds[0, 1], money_resolution)
     times = np.linspace(bounds[1, 0], bounds[1, 1], time_resolution)
     points = np.array([(m, t) for m in money for t in times])
@@ -238,19 +242,17 @@ def make_dated_rewards(money_resolution: int, time_resolution: int, bounds) -> O
     return OrderedSpace("dated_rewards", points, weak, strict, tuple(chain), step, desc)
 
 
-def make_aa_acts(num_states: int, lottery: OrderedSpace, point_budget: int = _AA_POINT_BUDGET) -> OrderedSpace:
+def make_aa_acts(num_states: int, lottery: OrderedSpace) -> OrderedSpace:
     """State-contingent lotteries ordered by statewise stochastic dominance.
 
-    Points are concatenations of one lottery per state. Raises CapacityError
-    when the product grid exceeds `point_budget` acts.
+    Points are concatenations of one lottery per state.
     """
     if num_states < 1:
         raise ConfigurationError("need num_states >= 1")
     if lottery.kind != "lottery_simplex":
         raise ConfigurationError("underlying space must be a lottery_simplex")
     m = lottery.num_points
-    if m**num_states > point_budget:
-        raise CapacityError(f"{m}^{num_states} acts exceed the budget of {point_budget}")
+    _check_budget("aa_acts", m**num_states)
     combos = list(itertools.product(range(m), repeat=num_states))
     points = np.array([np.concatenate([lottery.points[i] for i in combo]) for combo in combos])
     lw = lottery.weak_order
@@ -286,6 +288,7 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
         raise ConfigurationError("points must be finite numbers, or equal-length nonempty lists of them")
     if points.shape[0] < 2:
         raise ConfigurationError("need at least 2 points")
+    _check_budget("euclidean_points", points.shape[0])
     weak = _coordinatewise(points, np.greater_equal, np.logical_and)
     strict = _coordinatewise(points, np.greater, np.logical_and)
     distance = _coordinatewise(points, _gap, np.maximum)
@@ -295,7 +298,9 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
     desc = {"kind": "euclidean_points", "points": points.tolist()}
     if chain:
         _validate_chain(points, weak, strict, chain)
-    return OrderedSpace("euclidean_points", points, weak, strict, tuple(chain), float(off_diagonal.min()), desc)
+    space = OrderedSpace("euclidean_points", points, weak, strict, tuple(chain), float(off_diagonal.min()), desc)
+    vars(space)["distance_matrix"] = _frozen(distance)  # the cached matrix, so no read builds it a second time
+    return space
 
 
 def dense_subset(space: OrderedSpace, members: Sequence[int] | None = None, stride: int = 1) -> DenseSubset:
@@ -313,82 +318,6 @@ def dense_subset(space: OrderedSpace, members: Sequence[int] | None = None, stri
         raise DomainError("member index out of range")
     radius = float(space.distance_matrix[:, members].min(axis=1).max())
     return DenseSubset(space, members, radius)
-
-
-def fosd_compare(x, y, tol: float = 1e-9):
-    """Compare two probability vectors by first-order stochastic dominance.
-
-    Index 0 is the best prize. Returns one of greater | less | equal |
-    incomparable.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DomainError("need two probability vectors of equal length")
-    for v in (x, y):
-        if (v < -tol).any() or abs(v.sum() - 1.0) > tol:
-            raise DomainError("input is not a probability vector")
-    cx, cy = np.cumsum(x), np.cumsum(y)
-    eps = 1e-12
-    ge = bool((cx >= cy - eps).all())
-    le = bool((cy >= cx - eps).all())
-    if ge and le:
-        return EQUAL
-    if ge:
-        return GREATER
-    if le:
-        return LESS
-    return INCOMPARABLE
-
-
-def _to_lattice_coords(space: OrderedSpace, seq: np.ndarray) -> np.ndarray:
-    """Map points to coordinates on which the order is coordinatewise >=."""
-    if space.kind in ("euclidean_grid", "euclidean_points"):
-        return seq
-    if space.kind == "dated_rewards":
-        return np.column_stack([seq[:, 0], -seq[:, 1]])
-    if space.kind == "lottery_simplex":
-        return np.cumsum(seq, axis=1)
-    if space.kind == "aa_acts":
-        p = space.descriptor["num_prizes"]
-        return np.concatenate(
-            [np.cumsum(seq[:, s * p:(s + 1) * p], axis=1) for s in range(seq.shape[1] // p)], axis=1
-        )
-    raise DomainError(f"space kind {space.kind} has no lattice structure")
-
-
-def _from_lattice_coords(space: OrderedSpace, coords: np.ndarray) -> np.ndarray:
-    if space.kind in ("euclidean_grid", "euclidean_points"):
-        return coords
-    if space.kind == "dated_rewards":
-        return np.column_stack([coords[:, 0], -coords[:, 1]])
-    if space.kind == "lottery_simplex":
-        return np.diff(coords, axis=1, prepend=0.0)
-    if space.kind == "aa_acts":
-        p = space.descriptor["num_prizes"]
-        return np.concatenate(
-            [np.diff(coords[:, s * p:(s + 1) * p], axis=1, prepend=0.0) for s in range(coords.shape[1] // p)],
-            axis=1,
-        )
-    raise DomainError(f"space kind {space.kind} has no lattice structure")
-
-
-def squeeze_envelopes(space: OrderedSpace, sequence) -> tuple[np.ndarray, np.ndarray]:
-    """Tail inf and tail sup of a point sequence in the space's lattice.
-
-    Returns (lower, upper): lower[n] = inf of the tail from n on, upper[n]
-    the sup. The lower envelope is nondecreasing, the upper nonincreasing,
-    and they bracket the input pointwise.
-    """
-    seq = np.asarray(sequence, dtype=float)
-    if seq.ndim == 1:
-        seq = seq[:, None]
-    if seq.size == 0:
-        raise DomainError("empty sequence")
-    coords = _to_lattice_coords(space, seq)
-    lower = np.minimum.accumulate(coords[::-1], axis=0)[::-1]
-    upper = np.maximum.accumulate(coords[::-1], axis=0)[::-1]
-    return _from_lattice_coords(space, lower), _from_lattice_coords(space, upper)
 
 
 def check_countable_order_property(space: OrderedSpace, B: DenseSubset, radius: float):

@@ -26,7 +26,6 @@ __all__ = [
     "chain_step_bound",
     "ordinal_equivalent",
     "max_norm_distance",
-    "select_convergent_utilities",
     "utility_to_csv",
     "utility_from_csv",
     "utility_to_json",
@@ -146,22 +145,6 @@ def max_norm_distance(u: UtilityFunction, v: UtilityFunction, region=None) -> fl
             raise DomainError("empty region")
         gap = gap[idx]
     return float(gap.max())
-
-
-def select_convergent_utilities(prefs, u_star: UtilityFunction) -> list[UtilityFunction]:
-    """Chain-anchored representations of each preference, based on u_star.
-
-    Restricts u_star to the chain and applies the certainty-equivalent
-    construction to every preference in the list. When the preferences
-    converge to the one u_star represents, these utilities converge to
-    u_star in max norm, up to one chain step.
-    """
-    prefs = list(prefs)
-    if not prefs:
-        return []
-    space = prefs[0].space
-    base_vals = _resolve_base(space, u_star)
-    return [certainty_equivalent_utility(p, base_vals) for p in prefs]
 
 
 def utility_to_csv(u: UtilityFunction) -> str:

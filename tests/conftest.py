@@ -7,7 +7,7 @@ worse) so they cannot share bugs with the vectorized library paths.
 import numpy as np
 import pytest
 
-from prefid import Preference, dense_subset, from_points, make_grid_euclidean
+from prefid import DomainError, Preference, dense_subset, from_points, make_grid_euclidean
 from prefid.experiments import ChoiceSequence, ExperimentSequence
 
 
@@ -102,7 +102,8 @@ def naive_choices(p, pairs, mode, tie_policy="both", seed=None):
     rng = np.random.default_rng(seed) if tie_policy == "random" else None
     out = []
     for x, y in pairs:
-        optimal = p.optimal_of((x, y))
+        best = max(p.rank[x], p.rank[y])
+        optimal = [z for z in (x, y) if p.rank[z] == best]
         if mode == "strong":
             out.append(tuple(optimal))
         elif len(optimal) == 1 or tie_policy == "first":
@@ -110,3 +111,29 @@ def naive_choices(p, pairs, mode, tie_policy="both", seed=None):
         else:
             out.append((optimal[int(rng.integers(len(optimal)))],))
     return tuple(out)
+
+
+def fosd_compare(x, y, tol=1e-9):
+    """Compare two probability vectors by first-order stochastic dominance.
+
+    Index 0 is the best prize. Returns one of greater | less | equal |
+    incomparable; DomainError unless both are probability vectors of one length.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape or x.ndim != 1:
+        raise DomainError("need two probability vectors of equal length")
+    for v in (x, y):
+        if (v < -tol).any() or abs(v.sum() - 1.0) > tol:
+            raise DomainError("input is not a probability vector")
+    cx, cy = np.cumsum(x), np.cumsum(y)
+    eps = 1e-12
+    ge = bool((cx >= cy - eps).all())
+    le = bool((cy >= cx - eps).all())
+    if ge and le:
+        return "equal"
+    if ge:
+        return "greater"
+    if le:
+        return "less"
+    return "incomparable"

@@ -384,10 +384,8 @@ def test_criterion_8_oracle_equivalence():
 
                     # edge semantics must carve out the same set
                     edge_mask = np.ones(R.shape[0], dtype=bool)
-                    for x, y in r.strict_edges:
-                        edge_mask &= R[:, x] > R[:, y]
-                    for x, y in r.weak_edges:
-                        edge_mask &= R[:, x] >= R[:, y]
+                    for x, y, strict in zip(r.x.tolist(), r.y.tolist(), r.strict.tolist()):
+                        edge_mask &= R[:, x] > R[:, y] if strict else R[:, x] >= R[:, y]
                     assert np.array_equal(edge_mask, test_mask)
 
                     if index % 500 == 1:

@@ -1,5 +1,7 @@
 """Tests for experiment enumeration and choice-data generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from prefid import (
     from_points,
     from_utility,
     generate_choices,
+    generator_values,
+    make_grid_euclidean,
     restrict,
 )
 
@@ -124,6 +128,24 @@ def test_pairs_and_choices_match_naive_loops(case, choice_seed):
         c = generate_choices(p, e, mode, tie_policy=tie, seed=s)
         assert c.choices == naive_choices(p, e.pairs, mode, tie, s)
         assert c.chose_mask.tolist() == [[x in ch, y in ch] for (x, y), ch in zip(e.pairs, c.choices)]
+
+
+def test_library_sequences_hold_only_arrays():
+    # README config on a 24 x 24 grid: 165,600 pairs. Their arrays take 3 MB;
+    # tuples of the pairs and choices would hold about 20 MB more.
+    space = make_grid_euclidean(2, 24, (0.0, 1.0))
+    B = dense_subset(space)
+    p = from_utility(space, generator_values(space, {"formula": "cobb_douglas_mix", "params": {"mix": 0.1}}))
+    tracemalloc.start()
+    try:
+        e = enumerate_pairs(B)
+        c = generate_choices(p, e)
+        e_k, c_k = restrict(e, c, len(e))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(e_k) == len(c_k) == 165_600
+    assert retained < 6e6
 
 
 class TestGenerateChoices:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
+import prefid
 from prefid import ConfigurationError, DomainError
 from prefid.cli import main
 from prefid.harness import (
@@ -400,6 +401,12 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_space_over_point_budget_exits_2(self, cli_space, cli_choices, capsys, monkeypatch):
+        monkeypatch.setattr(prefid.spaces, "_POINT_BUDGET", 4)  # the line has 5 points
+        code = main(["check", "--data", cli_choices, "--space", cli_space, "--mode", "strong"])
+        assert code == 2
+        assert "budget" in capsys.readouterr().err
+
     def test_check_monotone_flag(self, cli_space, cli_choices, capsys):
         code = main([
             "check", "--data", cli_choices, "--space", cli_space,
@@ -514,9 +521,10 @@ def _num_points(doc) -> int:
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(doc=FUZZED_DESCRIPTORS)
 def test_fuzzed_descriptor_exits_cleanly(tmp_path_factory, doc):
-    # any descriptor maps to exit 0, 2 or 3, never a traceback. Grids and act
-    # spaces have no point budget below 4,096 points yet, and their (n, n)
-    # matrices make such draws slow, so draws beyond 256 points are skipped
+    # any descriptor maps to exit 0, 2 or 3, never a traceback. Every builder
+    # refuses spaces over the 4,096-point budget, but one near the budget still
+    # builds (n, n) matrices (134 MB of distances at 4,096 points), so draws
+    # beyond 256 points are skipped
     assume(_num_points(doc) <= 256)
     folder = tmp_path_factory.mktemp("fuzz")
     space, data = folder / "space.json", folder / "choices.csv"

@@ -45,11 +45,6 @@ class TestPreference:
         assert p.strict[3, 1] and not p.strict[1, 3]
         assert not p.strict[1, 2]
 
-    def test_optimal_of_menu(self, line5):
-        p = pref(line5, (0, 2, 2, 1, 0))
-        assert p.optimal_of([0, 1, 2, 3]) == [1, 2]
-        assert p.optimal_of([0, 4]) == [0, 4]
-
     def test_wrong_length_rejected(self, line5):
         with pytest.raises(DomainError):
             pref(line5, (0, 1, 2))

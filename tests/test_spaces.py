@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefid
+from conftest import fosd_compare
 from prefid import (
     check_countable_order_property,
     dense_subset,
-    fosd_compare,
     from_points,
     make_aa_acts,
     make_dated_rewards,
@@ -17,9 +17,8 @@ from prefid import (
     make_lottery_simplex,
     space_from_descriptor,
     space_to_descriptor,
-    squeeze_envelopes,
 )
-from prefid.errors import ConfigurationError, DomainError
+from prefid.errors import CapacityError, ConfigurationError, DomainError
 
 
 def naive_dominance(points):
@@ -82,6 +81,35 @@ def test_act_space_matrices_stay_under_64_mb():
         tracemalloc.stop()
     assert space.points.shape == (1296, 12)
     assert peak < 64e6
+
+
+@pytest.mark.parametrize("desc", [
+    {"kind": "euclidean_grid", "dims": 2, "resolution": 4, "bounds": [0.0, 1.0]},
+    {"kind": "lottery_simplex", "num_prizes": 3, "resolution": 4},
+    {"kind": "dated_rewards", "money_resolution": 4, "time_resolution": 4, "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+    {"kind": "aa_acts", "num_prizes": 2, "resolution": 3, "num_states": 2},
+    {"kind": "euclidean_points", "points": list(range(16))},
+], ids=lambda desc: desc["kind"])
+def test_point_budget_caps_every_builder(monkeypatch, desc):
+    # 15 or 16 points each: a budget of 16 builds them, one of 14 refuses them all
+    monkeypatch.setattr(prefid.spaces, "_POINT_BUDGET", 16)
+    assert space_from_descriptor(desc).num_points in (15, 16)
+    monkeypatch.setattr(prefid.spaces, "_POINT_BUDGET", 14)
+    with pytest.raises(CapacityError):
+        space_from_descriptor(desc)
+
+
+def test_point_space_keeps_its_distance_matrix():
+    # the 400 x 400 float matrix is 1.3 MB; from_points builds it once, for its own checks
+    space = from_points(np.random.default_rng(5).random((400, 2)))
+    tracemalloc.start()
+    try:
+        distance = space.distance_matrix
+        allocated = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert allocated < 1e6
+    assert np.array_equal(distance, broadcast_compare(space.points)[0])
 
 
 class TestGrid:
@@ -241,29 +269,6 @@ class TestDenseSubset:
         assert B.covering_radius == pytest.approx(1.0)
         full = dense_subset(chain6, stride=1)
         assert full.covering_radius == pytest.approx(0.0)
-
-
-class TestSqueezeEnvelopes:
-    def test_envelopes_bracket_and_are_monotone(self):
-        g = make_grid_euclidean(2, 5, (0.0, 1.0))
-        rng = np.random.default_rng(7)
-        seq = g.points[rng.integers(0, g.num_points, size=12)]
-        lower, upper = squeeze_envelopes(g, seq)
-        assert (lower <= seq + 1e-12).all() and (seq <= upper + 1e-12).all()
-        assert (np.diff(lower, axis=0) >= -1e-12).all()
-        assert (np.diff(upper, axis=0) <= 1e-12).all()
-
-    def test_lottery_envelopes_use_cumulative_order(self):
-        sp = make_lottery_simplex(2, 2)
-        seq = np.array([[1.0, 0.0], [0.0, 1.0]])
-        lower, upper = squeeze_envelopes(sp, seq)
-        # tail inf of {best, worst} is the worst lottery, sup the best
-        assert np.allclose(lower[0], [0.0, 1.0])
-        assert np.allclose(upper[0], [1.0, 0.0])
-
-    def test_empty_sequence_rejected(self, grid3):
-        with pytest.raises(DomainError):
-            squeeze_envelopes(grid3, np.zeros((0, 2)))
 
 
 class TestCountableOrderProperty:

@@ -19,7 +19,6 @@ from prefid.utility import (
     chain_step_bound,
     max_norm_distance,
     ordinal_equivalent,
-    select_convergent_utilities,
     utility_from_csv,
     utility_to_csv,
     utility_to_json,
@@ -102,11 +101,13 @@ class TestCertaintyEquivalent:
             assert u(idx) == base[pos]
 
     def test_within_one_chain_step_of_generator(self, grid3):
+        # the generator itself, then perturbations of it that reorder points
         vals = grid3.points.sum(axis=1)
         u_star = UtilityFunction(grid3, vals)
-        p = from_utility(grid3, vals)
-        u = certainty_equivalent_utility(p, u_star)
-        assert max_norm_distance(u, u_star) <= chain_step_bound(grid3, u_star) + 1e-12
+        for bump in (0.0, 0.01, 0.4, 2.0):
+            p = from_utility(grid3, vals + bump * grid3.points[:, 0] ** 2)
+            u = certainty_equivalent_utility(p, u_star)
+            assert max_norm_distance(u, u_star) <= chain_step_bound(grid3, u_star) + 1e-12
 
     def test_full_chain_space_is_exact(self):
         # on a 1-dimensional grid every point lies on the chain
@@ -170,34 +171,6 @@ class TestMaxNorm:
         u = UtilityFunction(grid3, np.arange(9.0))
         with pytest.raises(DomainError):
             max_norm_distance(u, u, region=[])
-
-
-class TestSelectConvergent:
-    def test_stabilizing_sequence_lands_on_limit(self, grid3):
-        vals = grid3.points.sum(axis=1)
-        u_star = UtilityFunction(grid3, vals)
-        bumps = [2.0, 1.0, 0.4, 0.05, 0.01, 0.0]
-        prefs = [
-            from_utility(grid3, vals + b * grid3.points[:, 0] ** 2) for b in bumps
-        ]
-        outs = select_convergent_utilities(prefs, u_star)
-        assert len(outs) == len(prefs)
-        bound = chain_step_bound(grid3, u_star)
-        # once the perturbation stops reordering points the selection is
-        # pinned within one chain step of the target
-        assert max_norm_distance(outs[-1], u_star) <= bound + 1e-12
-        assert outs[-1] == certainty_equivalent_utility(prefs[-1], u_star)
-
-    def test_empty_sequence(self, grid3):
-        u_star = UtilityFunction(grid3, grid3.points.sum(axis=1))
-        assert select_convergent_utilities([], u_star) == []
-
-    def test_non_monotone_member_rejected(self, grid3):
-        vals = grid3.points.sum(axis=1)
-        u_star = UtilityFunction(grid3, vals)
-        bad = from_utility(grid3, -vals)
-        with pytest.raises(PreconditionError):
-            select_convergent_utilities([bad], u_star)
 
 
 class TestSerialization:
