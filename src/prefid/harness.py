@@ -121,7 +121,7 @@ FORMULAS = {
 def generator_values(space, spec: dict) -> np.ndarray:
     """Evaluate a generator spec {"formula": name, "params": {...}} on a space."""
     name = spec.get("formula")
-    if name not in FORMULAS:
+    if not isinstance(name, str) or name not in FORMULAS:
         raise ConfigurationError(f"unknown generator formula {name!r}")
     params = spec.get("params", {})
     if not isinstance(params, dict):
@@ -331,10 +331,15 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
             raise ConfigurationError(f"unknown policy target {named!r}")
     policy = config.rationalization_policy(target)
 
-    if policy.monotone in ("weak", "strict") and not is_weakly_monotone(gen):
-        raise ConfigurationError("generator is not weakly monotone but the policy requires it")
-    if policy.monotone == "strict" and not is_strictly_monotone(gen):
-        raise ConfigurationError("generator is not strictly monotone but the policy requires it")
+    # the generated data must fit the policy's class and the diameter's, so the generator must too
+    needs = {policy.monotone}
+    if config.diameter is not None:
+        dclass = config.diameter.get("policy_class", _DIAMETER_CLASS[policy.monotone])
+        needs |= {monotone for monotone, name in _DIAMETER_CLASS.items() if name == dclass}
+    if needs & {"weak", "strict"} and not is_weakly_monotone(gen):
+        raise ConfigurationError("generator is not weakly monotone but the policy or diameter requires it")
+    if "strict" in needs and not is_strictly_monotone(gen):
+        raise ConfigurationError("generator is not strictly monotone but the policy or diameter requires it")
 
     order = config.schedule.get("order", "diagonal")
     seed = int(config.schedule.get("seed", 0))
@@ -363,15 +368,8 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         delta = closed_convergence_distance(pref, gen)
         diam = None
         if config.diameter is not None:
-            dcfg = config.diameter
-            est = diameter_estimate(
-                e_k,
-                c_k,
-                policy_class=dcfg.get("policy_class", _DIAMETER_CLASS[policy.monotone]),
-                num_samples=int(dcfg.get("num_samples", 200)),
-                seed=int(dcfg.get("seed", 0)),
-            )
-            diam = est.value
+            diam = diameter_estimate(e_k, c_k, dclass, int(config.diameter.get("num_samples", 200)),
+                                     int(config.diameter.get("seed", 0))).value
         udist = None
         if u_star is not None:
             try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -167,9 +167,11 @@ def is_locally_strict(p: Preference, radius: float):
     """Test that every weak pair has a strict pair within `radius` of it.
 
     Returns (ok, violating (i, j) pairs). Neighborhoods are closed
-    max-metric balls around each side of the pair.
+    max-metric balls around each side of the pair. The radius-dilation of
+    p's strict part is exactly {(i, j) : hi[i] > lo[j]} (`_envelopes`).
     """
-    bad = p.graph & ~_dilate(p.space, radius, p.strict)
+    (hi,), (lo,) = _envelopes(p.space, radius, p.rank[None, :])
+    bad = p.graph & (hi[:, None] <= lo[None, :])
     ii, jj = np.nonzero(bad)
     violations = [(int(i), int(j)) for i, j in zip(ii, jj)]
     return len(violations) == 0, violations
@@ -187,36 +189,70 @@ def is_quasitransitive(r) -> bool:
 
 
 def _dilate(space: OrderedSpace, radius: float, graphs: np.ndarray) -> np.ndarray:
-    """Pairs within `radius` of a graph, under the product max metric.
+    """Pairs within `radius` of each graph of a (K, n, n) boolean stack, under the product max metric.
 
-    `graphs` is one boolean (n, n) graph or a (K, n, n) stack of them, and
-    the result has the same shape. Entry (i, j) is true when the graph has
-    a pair (k, l) with k in the closed ball around i and l in the ball
-    around j. Such pairs are counted by a float32 matrix product, which is
-    exact for this test at any size: every term is 0 or 1, so an empty
-    count is exactly 0 and a positive one, rounded or not, never falls
-    below 1.
+    Entry (k, i, j) is true when graph k has a pair (a, b) with a and b in the
+    closed balls around i and j. A float32 matrix product counts such pairs
+    exactly at any size: every term is 0 or 1, so no count rounds across 0.5.
     """
     near = (space.distance_matrix <= radius + _EPS).astype(np.float32)
     return (near @ graphs.astype(np.float32) @ near) > 0.5
 
 
-def _graph_diameter(space: OrderedSpace, graphs: np.ndarray) -> float:
-    """Largest Hausdorff distance between two graphs of a (K, n, n) boolean stack.
+def _envelopes(space: OrderedSpace, radius: float, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min (hi, lo) of each (K, n) rank row over every point's closed `radius`-ball.
+
+    A preference's radius-dilation is exactly {(i, j) : hi[i] >= lo[j]}, and
+    that of its strict part {(i, j) : hi[i] > lo[j]}. Balls are `_dilate`'s.
+    """
+    near = space.distance_matrix <= radius + _EPS
+    hi, lo = np.empty_like(ranks), np.empty_like(ranks)
+    for k, row in enumerate(ranks):
+        order = np.argsort(row, kind="stable")
+        ball = near[:, order]  # each ball's members, by ascending rank
+        lo[k] = row[order[ball.argmax(axis=1)]]
+        hi[k] = row[order[-1 - ball[:, ::-1].argmax(axis=1)]]
+    return hi, lo
+
+
+def _within(hi: np.ndarray, lo: np.ndarray, rank: np.ndarray) -> bool:
+    """True iff rank[i] >= rank[j] implies hi[i] >= lo[j]: one prefix maximum of lo over rank classes."""
+    top = np.zeros(int(rank.max()) + 1, dtype=lo.dtype)  # lo >= 0
+    np.maximum.at(top, rank, lo)
+    return bool((hi >= np.maximum.accumulate(top)[rank]).all())
+
+
+def _graph_diameter(space: OrderedSpace, stack: np.ndarray) -> float:
+    """Largest Hausdorff distance between two graphs of a (K, n, n) boolean stack or (K, n) rank rows.
 
     Two graphs are within r of each other when each lies in the other's
     r-dilation, so the largest pairwise distance is the least radius at
     which every graph's dilation covers the union of the stack. Distances
     take only the values in `space.distance_values`, so a binary search over
-    them finds it exactly.
+    them finds it exactly. Rank rows test coverage on their envelopes in
+    O(K n^2), two rows by one prefix maximum each (`_within`); boolean graphs
+    by `_dilate`'s O(n^3) product, which the exact diameter keeps: its
+    thousands of candidates live on at most 8 points.
     """
-    union = graphs.any(axis=0)
+    if stack.ndim == 3:
+        union = stack.any(axis=0)
+    elif len(stack) != 2:
+        union = reduce(np.logical_or, (row[:, None] >= row[None, :] for row in stack))
+
+    def covered(radius):
+        if stack.ndim == 3:
+            return not (union & ~_dilate(space, radius, stack)).any()
+        hi, lo = _envelopes(space, radius, stack)
+        if len(stack) == 2:
+            return _within(hi[0], lo[0], stack[1]) and _within(hi[1], lo[1], stack[0])
+        return not any((union & (h[:, None] < l[None, :])).any() for h, l in zip(hi, lo))
+
     radii = space.distance_values
     lo, hi = 0, len(radii) - 1
     # radii[hi] always works: it is the diameter of X
     while lo < hi:
         mid = (lo + hi) // 2
-        if not (union & ~_dilate(space, radii[mid], graphs)).any():
+        if covered(radii[mid]):
             hi = mid
         else:
             lo = mid + 1
@@ -228,17 +264,22 @@ def closed_convergence_distance(p, q) -> float:
 
     The product space carries the max of the two coordinate distances, so
     the distance is one of the space's point distances: the diameter of the
-    two-graph set, found by the threshold search of `_graph_diameter`.
+    two-graph set, found by the threshold search of `_graph_diameter`. For
+    two Preferences, p lies in q's radius-dilation iff, for every i,
+    hi[i] >= max{lo[j] : p.rank[j] <= p.rank[i]} with q's `_envelopes`, so
+    neither graph is built. Other relations take the matrix product.
     Raises DomainError for relations on different spaces or an empty graph.
     """
-    rp, rq = _as_relation(p), _as_relation(q)
-    if not same_space(rp.space, rq.space):
+    if not (isinstance(p, Preference) and isinstance(q, Preference)):
+        p, q = _as_relation(p), _as_relation(q)
+    if not same_space(p.space, q.space):
         raise DomainError("relations live on different spaces")
-    if not rp.matrix.any() or not rq.matrix.any():
+    stack = np.stack([p.rank, q.rank] if isinstance(p, Preference) else [p.matrix, q.matrix])
+    if stack.ndim == 3 and not stack.any(axis=(1, 2)).all():
         raise DomainError("closed convergence distance needs nonempty relations")
-    if np.array_equal(rp.matrix, rq.matrix):
+    if np.array_equal(stack[0], stack[1]):
         return 0.0
-    return _graph_diameter(rp.space, np.stack([rp.matrix, rq.matrix]))
+    return _graph_diameter(p.space, stack)
 
 
 def li_ls_limit(seq, radius_schedule, tail_starts=None):

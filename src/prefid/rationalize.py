@@ -781,7 +781,7 @@ def diameter_estimate(
     Raises ConfigurationError for a negative num_samples or an unknown
     policy class, and PreconditionError for inconsistent data.
     """
-    if policy_class not in _POLICY_CLASSES:
+    if not isinstance(policy_class, str) or policy_class not in _POLICY_CLASSES:
         raise ConfigurationError(f"unknown policy class {policy_class!r}")
     if num_samples < 0:
         raise ConfigurationError(f"num_samples must be at least 0, got {num_samples}")
@@ -802,8 +802,8 @@ def diameter_estimate(
             draws.append(sample_extension(r, rng, merge_prob=probs[i % len(probs)]).rank)
         ranks = np.array([np.asarray(d, dtype=np.int64) for d in draws])
     uniq = np.unique(ranks, axis=0)
-    graphs = uniq[:, :, None] >= uniq[:, None, :]
-    return DiameterResult(_graph_diameter(space, graphs), method, int(uniq.shape[0]))
+    stack = uniq[:, :, None] >= uniq[:, None, :] if method == "exact" else uniq  # see _graph_diameter
+    return DiameterResult(_graph_diameter(space, stack), method, int(uniq.shape[0]))
 
 
 def result_to_json(
@@ -826,5 +826,6 @@ def result_to_json(
     if delta_c_to_target is not None:
         doc["delta_c_to_target"] = float(delta_c_to_target)
     if diameter is not None:
-        doc["diameter"] = {"value": diameter.value, "method": diameter.method}
+        doc["diameter"] = {"value": diameter.value, "method": diameter.method,
+                           "num_candidates": diameter.num_candidates}
     return json.dumps(doc, indent=2)

@@ -441,6 +441,10 @@ class TestCli:
         pytest.param({"schedule": {"seed": "x"}}, id="seed_not_integer"),
         pytest.param({"subset": {"stride": 0}}, id="zero_stride"),
         pytest.param({"diameter": [1]}, id="diameter_not_object"),
+        pytest.param({"generator": {"formula": "linear_index", "params": {"index": [-1.0, -0.5]}},
+                      "diameter": {"policy_class": "strict_monotone"}}, id="diameter_class_excludes_generator"),
+        pytest.param({"diameter": {"policy_class": ["all"]}}, id="diameter_class_not_string"),
+        pytest.param({"generator": {"formula": ["sum"]}}, id="formula_not_string"),
         pytest.param({"output_dir": 5}, id="output_dir_not_path"),
         pytest.param({"generator": {"formula": "coordinate", "params": [1]}}, id="params_not_object"),
         pytest.param({"generator": {"formula": "coordinate", "params": {"dim": "x"}}}, id="dim_not_integer"),
@@ -585,3 +589,78 @@ def test_fuzzed_choice_csv_exits_cleanly(tmp_path_factory, text):
             code = main([command, "--data", str(data), "--space", str(space), "--mode", "strong"])
         event(f"{command} exit {code}")
         assert code in (0, 2, 3)
+
+
+# spaces of at most 16 points, with 7 and 8 points left out: there the exact
+# diameter enumerates 7**7 or 8**8 preorders at every checkpoint, seconds each
+_RUN_SPACES = [
+    *({"kind": "euclidean_grid", "dims": 1, "resolution": r, "bounds": [0.0, 1.0]} for r in (2, 3, 5, 6)),
+    *({"kind": "euclidean_grid", "dims": 2, "resolution": r, "bounds": [0.0, 1.0]} for r in (2, 3, 4)),
+    *({"kind": "lottery_simplex", "num_prizes": 3, "resolution": r} for r in (1, 2, 3, 4)),
+    {"kind": "dated_rewards", "money_resolution": 3, "time_resolution": 3, "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+    {"kind": "dated_rewards", "money_resolution": 2, "time_resolution": 5, "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+    {"kind": "euclidean_points", "points": [0.0, 0.1, 0.3, 0.7, 1.5]},
+    {"kind": "euclidean_points", "points": [[0.0, 0.0], [0.1, 0.5], [0.3, 0.2], [0.7, 0.9], [1.5, 0.4]]},
+]
+_ODD_NUMBERS = st.one_of(st.sampled_from([0.0, 1.0, -0.5, 2.0]),
+                         st.sampled_from([0.0, 1.0, -0.5, 2.0, float("nan"), float("inf"), "x", None]))
+_SMALL_INTS = st.integers(-1, 4)
+
+
+def _names(*names):
+    """One of the given names, an unknown one, or a value that is not a string."""
+    return st.sampled_from([*names, "mystery", ["x"], 5])
+
+
+FUZZED_RUN_CONFIGS = st.fixed_dictionaries(
+    {
+        "space": st.sampled_from(_RUN_SPACES),
+        "generator": st.fixed_dictionaries(
+            {"formula": _names(*sorted(prefid.harness.FORMULAS))},
+            optional={"params": st.fixed_dictionaries({}, optional={
+                "dim": st.one_of(_SMALL_INTS, _ODD_NUMBERS),
+                "mix": _ODD_NUMBERS,
+                "index": st.one_of(st.lists(st.sampled_from([1.0, -1.0, 0.5, -0.5]), min_size=2, max_size=2),
+                                   st.lists(_ODD_NUMBERS, max_size=3)),
+            })},
+        ),
+        "mode": _names("strong", "weak"),
+    },
+    optional={
+        "tie_policy": st.one_of(st.none(), _names("both", "first", "random")),
+        "policy": st.fixed_dictionaries({}, optional={
+            "tag": _names("canonical", "adversarial_indifference", "adversarial_far", "eu_class"),
+            "monotone": _names("none", "weak", "strict"),
+            "target": _names("generator", "indifference"),
+            "seed": _SMALL_INTS,
+            "budget": st.integers(-1, 30),
+        }),
+        "schedule": st.fixed_dictionaries({}, optional={
+            "order": _names("diagonal", "shuffled"),
+            "seed": st.one_of(_SMALL_INTS, st.none()),
+        }),
+        "k_grid": st.one_of(st.none(), st.lists(st.integers(-1, 40), max_size=4)),
+        "subset": st.fixed_dictionaries({}, optional={
+            "stride": _SMALL_INTS,
+            "members": st.one_of(st.none(), st.lists(st.integers(-1, 17), max_size=5)),
+        }),
+        "diameter": st.one_of(st.none(), st.fixed_dictionaries({"num_samples": st.integers(-1, 12)}, optional={
+            "policy_class": _names("all", "weak_monotone", "strict_monotone"),
+            "seed": _SMALL_INTS,
+        })),
+        "utility_distance": st.booleans(),
+    },
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(doc=FUZZED_RUN_CONFIGS)
+def test_fuzzed_run_config_exits_cleanly(tmp_path_factory, doc):
+    # any run config on a small space maps to exit 0 or 2, never a traceback
+    folder = tmp_path_factory.mktemp("fuzz")
+    config = folder / "config.json"
+    config.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["run", "--config", str(config), "--out", str(folder / "out")])
+    event(f"run exit {code}")
+    assert code in (0, 2)

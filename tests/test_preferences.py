@@ -14,6 +14,8 @@ from prefid import (
     is_strictly_monotone,
     is_weakly_monotone,
     li_ls_limit,
+    make_grid_euclidean,
+    make_lottery_simplex,
     preference_from_json,
     preference_to_json,
     total_indifference,
@@ -31,6 +33,15 @@ def pref(space, ranks):
 def plane5():
     # uneven points in the plane, so distances are informative
     return from_points(np.array([[0.0, 0.0], [0.1, 0.5], [0.3, 0.2], [0.7, 0.9], [1.5, 0.4]]))
+
+
+# the spaces of the rank-envelope checks: uneven and random points, a grid and a lottery simplex
+ENVELOPE_SPACES = {
+    "plane5": plane5(),
+    "random12": from_points(np.random.default_rng(2).random((12, 2))),
+    "grid4x4": make_grid_euclidean(2, 4, (0.0, 1.0)),
+    "lottery3x4": make_lottery_simplex(3, 4),
+}
 
 
 class TestPreference:
@@ -122,6 +133,25 @@ def test_triangle_inequality(ra, rb, rc):
     assert d(pa, pc) <= d(pa, pb) + d(pb, pc) + 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ENVELOPE_SPACES)), st.data())
+def test_envelope_distance_matches_dilation_and_loop_oracle(name, data):
+    # ranks drawn from 0..3 on at least 5 points always hold ties
+    space = ENVELOPE_SPACES[name]
+    ranks = st.lists(st.integers(0, 3), min_size=space.num_points, max_size=space.num_points)
+    pa, pb = pref(space, data.draw(ranks)), pref(space, data.draw(ranks))
+    envelope = closed_convergence_distance(pa, pb)
+    assert envelope == closed_convergence_distance(pa.relation(), pb.relation())
+    assert envelope == pytest.approx(brute_graph_distance(space, pa, pb), abs=1e-12)
+
+
+def test_distance_of_preferences_builds_no_graph(grid3):
+    pa = from_utility(grid3, grid3.points.sum(axis=1))
+    pb = from_utility(grid3, grid3.points[:, 0])
+    assert closed_convergence_distance(pa, pb) > 0
+    assert "graph" not in vars(pa) and "graph" not in vars(pb)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.booleans(), min_size=25, max_size=25).filter(any),
        st.lists(st.booleans(), min_size=25, max_size=25).filter(any))
@@ -172,15 +202,16 @@ class TestLiLsLimit:
 
 class TestLocalStrictness:
     def test_matches_dilation_oracle(self):
-        space = plane5()
         rng = np.random.default_rng(11)
-        for _ in range(12):
-            p = pref(space, rng.integers(0, 3, size=5))
-            radius = float(rng.choice(space.distance_values))
-            ok, bad = is_locally_strict(p, radius)
-            want = p.graph & ~brute_dilation(space, p.strict, radius)
-            assert bad == [(int(i), int(j)) for i, j in np.argwhere(want)]
-            assert ok == (not want.any())
+        for space in ENVELOPE_SPACES.values():
+            radii = space.distance_values
+            # zero, one interior distance and the diameter, then random distances
+            for radius in (radii[0], radii[len(radii) // 3], radii[-1], *rng.choice(radii, size=3)):
+                p = pref(space, rng.integers(0, 3, size=space.num_points))
+                ok, bad = is_locally_strict(p, float(radius))
+                want = p.graph & ~brute_dilation(space, p.strict, radius)
+                assert bad == [(int(i), int(j)) for i, j in np.argwhere(want)]
+                assert ok == (not want.any())
 
     def test_strictly_ranked_neighbors_pass(self, chain6):
         p = from_utility(chain6, chain6.points[:, 0])

@@ -21,6 +21,7 @@ from prefid import (
     DomainError,
     ExperimentSequence,
     PreconditionError,
+    Preference,
     ResolutionError,
     dense_subset,
     enumerate_pairs,
@@ -31,6 +32,7 @@ from prefid import (
     make_lottery_simplex,
     restrict,
 )
+import prefid.rationalize as rationalize_module
 from prefid.preferences import closed_convergence_distance
 from prefid.rationalize import (
     _max_height,
@@ -641,6 +643,22 @@ class TestDiameter:
         assert res.value == 0.0
         assert res.num_candidates == 1
 
+    def test_sampled_value_is_largest_pairwise_oracle_distance(self, grid3, monkeypatch):
+        # a 9-point grid takes the sampled branch; capture the candidate rank rows it measures
+        seen = []
+        real = rationalize_module._graph_diameter
+        monkeypatch.setattr(rationalize_module, "_graph_diameter",
+                            lambda space, stack: seen.append(stack) or real(space, stack))
+        e, c = dataset(grid3, [(0, 8, (8,)), (2, 6, (2, 6)), (1, 5, (5,))], "strong")
+        res = diameter_estimate(e, c, "all", num_samples=12, seed=3)
+        (rows,) = seen
+        assert res.method == "sampled"
+        assert rows.shape == (res.num_candidates, 9) and res.num_candidates > 2
+        prefs = [Preference(grid3, row) for row in rows]
+        want = max(brute_graph_distance(grid3, a, b) for a, b in itertools.combinations(prefs, 2))
+        assert want > 0
+        assert res.value == pytest.approx(want, abs=1e-12)
+
     def test_inconsistent_data_rejected(self, line5):
         e, c = dataset(line5, [(0, 1, (0,)), (0, 1, (1,))], "strong")
         with pytest.raises(PreconditionError):
@@ -669,7 +687,8 @@ class TestResultJson:
         assert doc["policy"] == "canonical"
         assert doc["consistent"] is True
         assert doc["ranks"] == [0, 0, 0, 1, 0]
-        assert doc["diameter"]["method"] == "exact"
+        assert doc["diameter"] == {"value": diam.value, "method": "exact",
+                                   "num_candidates": diam.num_candidates}
 
     def test_witness_document(self):
         doc = json.loads(result_to_json("canonical", False, witness=(0, 1, 0)))
