@@ -252,17 +252,12 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def rationalization_policy(self, target: Preference | None = None) -> RationalizationPolicy:
-        doc = dict(self.policy)
-        named_target = doc.pop("target", None)
-        if named_target is not None and target is None:
-            raise ConfigurationError("policy target must be resolved by the runner")
-        return RationalizationPolicy(
-            tag=doc.get("tag", "canonical"),
-            monotone=doc.get("monotone", "none"),
-            seed=int(doc.get("seed", 0)),
-            target=target,
-            budget=int(doc.get("budget", 400)),
-        )
+        doc = self.policy
+        tag = doc.get("tag", "canonical")
+        if doc.get("target") is not None and tag != "adversarial_far":
+            raise ConfigurationError(f"policy.target is read only by the adversarial_far tag, not by {tag!r}")
+        return RationalizationPolicy(tag=tag, monotone=doc.get("monotone", "none"), seed=int(doc.get("seed", 0)),
+                                     target=target, budget=int(doc.get("budget", 400)))
 
 
 def default_checkpoints(total: int) -> tuple[int, ...]:
@@ -304,8 +299,10 @@ _DIAMETER_CLASS = {"none": "all", "weak": "weak_monotone", "strict": "strict_mon
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Generate data from the configured preference and rationalize prefixes.
 
-    Each checkpoint row records the distance from the extended preference
-    to the generator, plus optional diameter and utility-distance columns.
+    One revealed relation is built per run, over the pairs up to the last
+    checkpoint, and each checkpoint ranks its `prefix`. Each row records the
+    distance from the extended preference to the generator, plus optional
+    diameter and utility-distance columns.
     A prefix the policy cannot rationalize becomes a failure row, with
     `consistent` false and no numeric columns, and the run continues:
     either the prefix is inconsistent (possible under a mismatched policy),
@@ -352,11 +349,12 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         raise ConfigurationError(f"k_grid exceeds the {len(e)} available pairs")
 
     u_star = UtilityFunction(space, values) if config.utility_distance else None
+    full = revealed_relation(*restrict(e, c, ks[-1]), config.mode, monotone=policy.monotone)
     rows = []
     for k in ks:
         t0 = time.perf_counter()
         e_k, c_k = restrict(e, c, k)
-        r = revealed_relation(e_k, c_k, config.mode, monotone=policy.monotone)
+        r = full.prefix(k)
         try:
             pref = extend_preference(r, policy)
         except PreconditionError:

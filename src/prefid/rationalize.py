@@ -101,22 +101,21 @@ class RevealedRelation:
     @cached_property
     def arc_matrix(self) -> np.ndarray:
         """All edges as one adjacency matrix: [i, j] iff i revealed at-least j."""
-        return self._matrix(slice(None))
-
-    @cached_property
-    def strict_matrix(self) -> np.ndarray:
-        return self._matrix(self.strict)
-
-    def _matrix(self, keep) -> np.ndarray:
         n = self.space.num_points
         m = np.zeros((n, n), dtype=bool)
-        m[self.x[keep], self.y[keep]] = True
+        m[self.x, self.y] = True
         m.setflags(write=False)
         return m
 
     @cached_property
     def condensation(self) -> "_Condensation":
         return _condense(self)
+
+    def prefix(self, k: int) -> "RevealedRelation":
+        """The edges the first k pairs reveal, pair_index <= k, and every monotonicity edge; self if all stay."""
+        keep = self.pair_index <= k
+        columns = (self.x, self.y, self.strict, self.source, self.pair_index)
+        return self if keep.all() else RevealedRelation(self.space, *(column[keep] for column in columns))
 
     def data_edges(self) -> np.ndarray:
         """Mask of the edges revealed by the data."""
@@ -198,51 +197,42 @@ def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monot
 class _Condensation:
     labels: np.ndarray            # point index -> component id
     num_comps: int
-    arc_u: np.ndarray             # arcs between distinct components, unique and sorted:
+    arc_u: np.ndarray             # arcs between distinct components, unique and sorted by (arc_v, arc_u):
     arc_v: np.ndarray             # component arc_u[i] at-least component arc_v[i],
     arc_strict: np.ndarray        # strictly when some strict edge gives the arc
     strict_inside: tuple          # strict edges whose endpoints share a component
 
     @cached_property
-    def below(self) -> list[list[tuple[int, bool]]]:
-        # below[cu] = (cv, strict) for each arc out of cu
-        return _group(self.num_comps, self.arc_u, self.arc_v, self.arc_strict)
-
-    @cached_property
-    def above(self) -> list[list[tuple[int, bool]]]:
-        # above[cv] = (cu, strict) for each arc into cv, cu ascending; they place after cv
-        by_head = np.lexsort((self.arc_u, self.arc_v))
-        return _group(self.num_comps, self.arc_v[by_head], self.arc_u[by_head], self.arc_strict[by_head])
+    def above(self) -> list[list[int]]:
+        # above[cv] = the components cu of the arcs into cv, ascending; they place after cv
+        bounds = np.searchsorted(self.arc_v, np.arange(self.num_comps + 1)).tolist()
+        tails = self.arc_u.tolist()
+        return [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
     @cached_property
     def strict_near(self) -> list[set[int]]:
         # components joined to each component by a strict arc, either way
-        return [{comp for comp, strict in down + up if strict} for down, up in zip(self.below, self.above)]
-
-    @cached_property
-    def order(self) -> list[int]:
-        return list(_topological(self, lambda ready: -1))
-
-
-def _group(num: int, key: np.ndarray, other: np.ndarray, strict: np.ndarray) -> list[list[tuple[int, bool]]]:
-    """Per-component lists of (other, strict), from arcs sorted by key."""
-    items = list(zip(other.tolist(), strict.tolist()))
-    bounds = np.searchsorted(key, np.arange(num + 1)).tolist()
-    return [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        near = [set() for _ in range(self.num_comps)]
+        for cu, cv in zip(self.arc_u[self.arc_strict].tolist(), self.arc_v[self.arc_strict].tolist()):
+            near[cu].add(cv)
+            near[cv].add(cu)
+        return near
 
 
 def _condense(r: RevealedRelation) -> _Condensation:
     n = r.space.num_points
-    adj = csr_matrix(r.arc_matrix.astype(np.int8), shape=(n, n))
+    rows, cols = np.nonzero(r.arc_matrix)
+    adj = csr_matrix((np.ones(len(cols), dtype=np.int8), cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
     num, labels = connected_components(adj, directed=True, connection="strong")
     cu, cv = labels[r.x], labels[r.y]
     inside = cu == cv
     strict_inside = tuple(zip(r.x[inside & r.strict].tolist(), r.y[inside & r.strict].tolist()))
     # one arc per ordered pair of components, strict when any of its edges is
-    arcs, arc_of_edge = np.unique(cu[~inside].astype(np.int64) * num + cv[~inside], return_inverse=True)
-    arc_strict = np.zeros(len(arcs), dtype=bool)
-    arc_strict[arc_of_edge[r.strict[~inside]]] = True
-    return _Condensation(labels, num, arcs // num, arcs % num, arc_strict, strict_inside)
+    arc, strict = np.zeros((2, num, num), dtype=bool)
+    arc[cv[~inside], cu[~inside]] = True
+    strict[cv[~inside & r.strict], cu[~inside & r.strict]] = True
+    arc_v, arc_u = np.nonzero(arc)
+    return _Condensation(labels, num, arc_u, arc_v, strict[arc_v, arc_u], strict_inside)
 
 
 def check_consistency(r: RevealedRelation) -> ConsistencyResult:
@@ -281,39 +271,55 @@ def check_consistency(r: RevealedRelation) -> ConsistencyResult:
 
 
 def _topological(cond: _Condensation, pick):
-    """Components, each after every component it is revealed at least.
+    """Components, each after every component it is revealed at least; serves the seeded sampler only.
 
     `pick(ready)` gives the position in `ready` of the component taken
     next. `ready` starts with the components that beat nothing, ascending;
     a taken component releases the components above it in ascending order.
     """
-    remaining = [len(arcs) for arcs in cond.below]
+    remaining = np.bincount(cond.arc_u, minlength=cond.num_comps).tolist()
     ready = [comp for comp, count in enumerate(remaining) if count == 0]
     while ready:
         comp = ready.pop(pick(ready))
         yield comp
-        for waiter, _ in cond.above[comp]:
+        for waiter in cond.above[comp]:
             remaining[waiter] -= 1
             if remaining[waiter] == 0:
                 ready.append(waiter)
 
 
-def _heights(order, arcs: list[list[tuple[int, bool]]]) -> np.ndarray:
-    """Longest path along `arcs` from each component, a strict arc counting 1; `order` puts arc ends first."""
-    height = [0] * len(arcs)
-    for comp in order:
-        height[comp] = max([height[end] + strict for end, strict in arcs[comp]], default=0)
-    return np.array(height, dtype=np.int64)
+def _heaviest_paths(num: int, tail: np.ndarray, head: np.ndarray, strict: np.ndarray) -> np.ndarray:
+    """Heaviest path out of each of num nodes along the arcs tail -> head, sorted by head; a strict arc weighs 1.
+
+    Kahn's topological sort one level at a time, from the nodes with no outgoing arc: a level pushes
+    height[head] + strict along the arcs into it and releases the tails with no outgoing arc left to do.
+    """
+    into = np.bincount(head, minlength=num)
+    first = into.cumsum() - into          # the arcs into node v are first[v] : first[v] + into[v]
+    left = np.bincount(tail, minlength=num)
+    height = np.zeros(num, dtype=np.int64)
+    level = (left == 0).nonzero()[0]
+    while level.size:
+        count = into[level]
+        ends = count.cumsum()
+        arcs = np.repeat(first[level] - ends + count, count) + np.arange(ends[-1])  # the level's slices, end to end
+        tails = tail[arcs]
+        np.maximum.at(height, tails, height[head[arcs]] + strict[arcs])
+        left[level] = -1                  # a level is released once
+        left -= np.bincount(tails, minlength=num)
+        level = (left == 0).nonzero()[0]
+    return height
 
 
 def _min_height(cond: _Condensation) -> np.ndarray:
     """Lowest rank assignment: each component sits just above what it must beat."""
-    return _heights(cond.order, cond.below)
+    return _heaviest_paths(cond.num_comps, cond.arc_u, cond.arc_v, cond.arc_strict)
 
 
 def _max_height(cond: _Condensation) -> np.ndarray:
     """Highest rank assignment: each component sits just below what beats it."""
-    depth = _heights(reversed(cond.order), cond.above)
+    by_tail = np.argsort(cond.arc_u, kind="stable")
+    depth = _heaviest_paths(cond.num_comps, cond.arc_v[by_tail], cond.arc_u[by_tail], cond.arc_strict[by_tail])
     return depth.max() - depth
 
 
@@ -331,8 +337,7 @@ def sample_extension(r: RevealedRelation, rng, merge_prob: float = 0.5) -> Prefe
     ranks with the given probability when no strict edge separates them.
     Every rationalizing total preorder is reachable by some draw.
     """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
+    rng = np.random.default_rng(rng)  # a Generator passes through unaltered
     cond = r.condensation
     if cond.strict_inside:
         raise PreconditionError("data is not rationalizable")
@@ -466,12 +471,9 @@ def _indifference_from_relation(r: RevealedRelation) -> Preference:
     cell_diameter = max(1.0 / (2.0 * stage), 2.0 * float(steps.max()))
 
     data_nodes = np.unique(np.concatenate([r.x[data], r.y[data]])).tolist()
-    if data_nodes:
-        heights = _min_height(r.condensation)[r.condensation.labels[data_nodes]]
-        top = max(int(heights.max()), 1)
-        anchor_vals = {node: (2.0 * h - heights.max()) / top for node, h in zip(data_nodes, heights)}
-    else:
-        anchor_vals = {}
+    heights = _min_height(r.condensation)[r.condensation.labels[data_nodes]]
+    top = heights.max(initial=0)
+    anchor_vals = {node: (2.0 * h - top) / max(top, 1) for node, h in zip(data_nodes, heights)}
 
     axis_runs, run_of_point = [], []
     for d in range(dims):

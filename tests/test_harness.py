@@ -211,6 +211,19 @@ class TestRunConvergence:
         back = parse_report_csv((tmp_path / "report.csv").read_text())
         assert [row.consistent for row in back] == [row.consistent for row in rep.rows]
 
+    def test_relation_built_once_over_the_last_checkpoint(self, monkeypatch):
+        built = []
+        real = prefid.harness.revealed_relation
+
+        def recording(e, c, *args, **kwargs):
+            built.append(len(e))
+            return real(e, c, *args, **kwargs)
+
+        monkeypatch.setattr(prefid.harness, "revealed_relation", recording)
+        rep = run_convergence(ExperimentConfig.from_dict(dict(BASE_CONFIG, k_grid=[1, 3, 5])))
+        assert built == [5]
+        assert [row.k for row in rep.rows] == [1, 3, 5]
+
     def test_shuffled_schedule(self):
         cfg = ExperimentConfig.from_dict(
             dict(BASE_CONFIG, schedule={"order": "shuffled", "seed": 5})
@@ -459,6 +472,15 @@ class TestCli:
         code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_run_policy_target_under_another_tag_exits_2(self, tmp_path, capsys):
+        # only adversarial_far reads a target; the error names the field and the tag
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(BASE_CONFIG, policy={"tag": "canonical", "target": "generator"})))
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "policy.target" in err and "'canonical'" in err
 
     def test_run_svg_format(self, tmp_path, capsys):
         config = tmp_path / "config.json"

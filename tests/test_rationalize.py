@@ -136,7 +136,6 @@ class TestRevealedRelation:
         expected = np.zeros((5, 5), dtype=bool)
         expected[3, 0] = expected[1, 2] = expected[2, 1] = True
         assert np.array_equal(r.arc_matrix, expected)
-        assert r.strict_matrix[3, 0] and not r.strict_matrix[1, 2]
 
     def test_choice_outside_pair_rejected(self, line5):
         # an empty choice, or one outside its pair, is read the same way by
@@ -308,6 +307,59 @@ class TestRankingKernel:
         cond = r.condensation
         assert _min_height(cond)[cond.labels].tolist() == lowest
         assert _max_height(cond)[cond.labels].tolist() == highest
+
+    @staticmethod
+    def assert_deep_ranks_match_oracle(r, min_levels):
+        edges = list(zip(r.x.tolist(), r.y.tolist(), r.strict.tolist()))
+        n = r.space.num_points
+        # the ranking passes as many levels as the longest path has points, counting every arc
+        levels, _ = longest_path_ranks(n, [(x, y, True) for x, y, _ in edges])
+        assert max(levels) + 1 >= min_levels
+        lowest, highest = longest_path_ranks(n, edges)
+        cond = r.condensation
+        assert _min_height(cond)[cond.labels].tolist() == lowest
+        assert _max_height(cond)[cond.labels].tolist() == highest
+
+    def test_long_line_under_full_strong_data(self):
+        line = make_grid_euclidean(1, 24, (0.0, 1.0))
+        e = enumerate_pairs(dense_subset(line), "shuffled", 3)
+        c = generate_choices(from_utility(line, line.points[:, 0]), e, mode="strong")
+        self.assert_deep_ranks_match_oracle(revealed_relation(e, c, "strong"), 24)
+
+    @pytest.mark.parametrize("mode, k", [("strong", 630), ("strong", 400), ("weak", 630), ("weak", 400)])
+    def test_grid_under_strict_monotone_edges(self, mode, k):
+        # distinct values, so every pair is ranked strictly; weak data leaves
+        # only the dominance arcs strict, and weak arcs must weigh nothing
+        g = make_grid_euclidean(2, 6, (0.0, 1.0))
+        truth = from_utility(g, g.points @ np.array([1.0, 1.3]))
+        e = enumerate_pairs(dense_subset(g), "shuffled", 5)
+        c = generate_choices(truth, e, mode=mode, tie_policy="both" if mode == "strong" else "first")
+        self.assert_deep_ranks_match_oracle(revealed_relation(*restrict(e, c, k), mode, monotone="strict"), 20)
+
+
+class TestRelationPrefix:
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_prefix_matches_fresh_relation(self, data):
+        dims = data.draw(st.integers(1, 2))
+        g = make_grid_euclidean(dims, data.draw(st.integers(2, 8 if dims == 1 else 2)), (0.0, 1.0))
+        mode = data.draw(st.sampled_from(["strong", "weak"]))
+        monotone = data.draw(st.sampled_from(["none", "weak", "strict"]))
+        members = data.draw(st.lists(st.integers(0, g.num_points - 1), min_size=2, max_size=g.num_points, unique=True))
+        order = data.draw(st.sampled_from(["diagonal", "shuffled"]))
+        schedule = enumerate_pairs(dense_subset(g, members=sorted(members)), order, data.draw(st.integers(0, 99)))
+        # a second pass over the schedule reveals comparisons again, which keep their first pair
+        e = ExperimentSequence(g, schedule.B, np.tile(schedule.pair_array, (data.draw(st.integers(1, 2)), 1)))
+        options = [(True, False), (False, True)] + ([(True, True)] if mode == "strong" else [])
+        picks = data.draw(st.lists(st.sampled_from(options), min_size=len(e), max_size=len(e)))
+        c = ChoiceSequence(e, np.array(picks, dtype=bool), mode)
+        r = revealed_relation(e, c, mode, monotone=monotone)
+        assert r.prefix(len(e)) is r
+        k = data.draw(st.integers(1, len(e)))
+        got, fresh = r.prefix(k), revealed_relation(*restrict(e, c, k), mode, monotone=monotone)
+        for name in ("x", "y", "strict", "source", "pair_index"):
+            assert getattr(got, name).dtype == getattr(fresh, name).dtype, name
+            assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
 
 
 class TestSampleExtension:
