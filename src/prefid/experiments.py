@@ -100,7 +100,7 @@ class ChoiceSequence:
             chose = self._choices
             if chose.shape != (k, 2):
                 raise DomainError("a choice mask holds two flags per pair")
-            bad = ~chose.any(axis=1)
+            bad = ~(chose[:, 0] | chose[:, 1])
         else:
             sizes = np.fromiter(map(len, self._choices), dtype=np.int64, count=k)
             chosen = np.fromiter(itertools.chain.from_iterable(self._choices), dtype=np.int64, count=sizes.sum())
@@ -134,8 +134,9 @@ def _pair_array(pairs, n: int) -> np.ndarray:
         arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
     except (TypeError, ValueError, OverflowError):
         raise DomainError("every pair must be two point indices") from None
-    bad = (arr.min(axis=1) < 0) | (arr.max(axis=1) >= n) | (arr[:, 0] == arr[:, 1])
-    if bad.any():
+    # whole-array checks first (initial= keeps an empty array valid); the first bad row only on failure
+    if arr.min(initial=0) < 0 or arr.max(initial=n - 1) >= n or (arr[:, 0] == arr[:, 1]).any():
+        bad = (arr.min(axis=1) < 0) | (arr.max(axis=1) >= n) | (arr[:, 0] == arr[:, 1])
         raise DomainError(f"pair {arr[bad][0].tolist()} at k={bad.argmax() + 1} is not two distinct indices below {n}")
     return _frozen(arr)
 

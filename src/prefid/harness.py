@@ -14,7 +14,7 @@ import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -133,24 +133,14 @@ _CONFIG_KEYS = {
     "space", "generator", "schedule", "mode", "tie_policy", "policy",
     "subset", "k_grid", "diameter", "utility_distance", "output_dir",
 }
-# the integer fields of each config section, with their least allowed value
-_SECTION_INTS = {
-    "schedule": (("seed", 0),),
-    "policy": (("seed", 0), ("budget", 0)),
-    "subset": (("stride", 1),),
-    "diameter": (("num_samples", 0), ("seed", 0)),
+# per config section: the value an absent section takes, and its integer fields with their least allowed values;
+# only the diameter may be absent or null
+_SECTIONS = {
+    "schedule": ({"order": "diagonal", "seed": 0}, {"seed": 0}),
+    "policy": ({"tag": "canonical", "monotone": "none"}, {"seed": 0, "budget": 0}),
+    "subset": ({}, {"stride": 1}),
+    "diameter": (None, {"num_samples": 0, "seed": 0}),
 }
-
-
-def _check_section(doc: dict, key: str) -> None:
-    if key not in doc or (key == "diameter" and doc[key] is None):
-        return
-    section = doc[key]
-    if not isinstance(section, dict):
-        raise ConfigurationError(f"config {key!r} must be an object")
-    for name, minimum in _SECTION_INTS[key]:
-        if name in section:
-            _int_field(f"{key}.{name}", section[name], minimum)
 
 
 def _int_list(where: str, value) -> tuple[int, ...]:
@@ -161,19 +151,19 @@ def _int_list(where: str, value) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A complete description of one convergence experiment."""
+    """A complete description of one convergence experiment, built by `from_dict` (or `from_json`) only."""
 
     space: dict
     generator: dict
-    schedule: dict = field(default_factory=lambda: {"order": "diagonal", "seed": 0})
-    mode: str = STRONG
-    tie_policy: str | None = None
-    policy: dict = field(default_factory=lambda: {"tag": "canonical", "monotone": "none"})
-    subset: dict = field(default_factory=dict)
-    k_grid: tuple[int, ...] | None = None
-    diameter: dict | None = None
-    utility_distance: bool = False
-    output_dir: str | None = None
+    schedule: dict
+    mode: str
+    tie_policy: str | None
+    policy: dict
+    subset: dict
+    k_grid: tuple[int, ...] | None
+    diameter: dict | None
+    utility_distance: bool
+    output_dir: str | None
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -186,10 +176,20 @@ class ExperimentConfig:
         mode = doc.get("mode", STRONG)
         if mode not in (STRONG, WEAK):
             raise ConfigurationError(f"unknown mode {mode!r}")
-        for key in _SECTION_INTS:
-            _check_section(doc, key)
-        if doc.get("subset", {}).get("members") is not None:
-            _int_list("subset.members", doc["subset"]["members"])
+        sections = {}
+        for key, (absent, ints) in _SECTIONS.items():
+            section = doc.get(key, absent)
+            if section is None and absent is None:
+                sections[key] = None
+                continue
+            if not isinstance(section, dict):
+                raise ConfigurationError(f"config {key!r} must be an object")
+            for name, minimum in ints.items():
+                if name in section:
+                    _int_field(f"{key}.{name}", section[name], minimum)
+            sections[key] = dict(section)
+        if sections["subset"].get("members") is not None:
+            _int_list("subset.members", sections["subset"]["members"])
         output_dir = doc.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigurationError(f"output_dir must be a path, got {output_dir!r}")
@@ -198,19 +198,12 @@ class ExperimentConfig:
             k_grid = _int_list("k_grid", k_grid)
             if not k_grid or any(b <= a for a, b in zip(k_grid, k_grid[1:])) or k_grid[0] < 1:
                 raise ConfigurationError("k_grid must be strictly increasing positive integers")
-        return ExperimentConfig(
-            space=dict(doc["space"]),
-            generator=dict(doc["generator"]),
-            schedule=dict(doc.get("schedule", {"order": "diagonal", "seed": 0})),
-            mode=mode,
-            tie_policy=doc.get("tie_policy"),
-            policy=dict(doc.get("policy", {"tag": "canonical", "monotone": "none"})),
-            subset=dict(doc.get("subset", {})),
-            k_grid=k_grid,
-            diameter=dict(doc["diameter"]) if doc.get("diameter") is not None else None,
-            utility_distance=bool(doc.get("utility_distance", False)),
-            output_dir=output_dir,
-        )
+        utility_distance = doc.get("utility_distance", False)
+        if not isinstance(utility_distance, bool):
+            raise ConfigurationError(f"utility_distance must be true or false, got {utility_distance!r}")
+        return ExperimentConfig(space=dict(doc["space"]), generator=dict(doc["generator"]), mode=mode,
+                                tie_policy=doc.get("tie_policy"), k_grid=k_grid, utility_distance=utility_distance,
+                                output_dir=output_dir, **sections)
 
     @staticmethod
     def from_json(text_or_path: str) -> "ExperimentConfig":
@@ -228,24 +221,7 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
-        doc = {
-            "space": self.space,
-            "generator": self.generator,
-            "schedule": self.schedule,
-            "mode": self.mode,
-            "policy": self.policy,
-            "subset": self.subset,
-            "utility_distance": self.utility_distance,
-        }
-        if self.tie_policy is not None:
-            doc["tie_policy"] = self.tie_policy
-        if self.k_grid is not None:
-            doc["k_grid"] = list(self.k_grid)
-        if self.diameter is not None:
-            doc["diameter"] = self.diameter
-        if self.output_dir is not None:
-            doc["output_dir"] = self.output_dir
-        return doc
+        return {name: value for name, value in asdict(self).items() if value is not None}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

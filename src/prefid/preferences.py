@@ -14,7 +14,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .errors import DomainError
-from .spaces import OrderedSpace, space_from_descriptor, space_to_descriptor
+from .spaces import _EPS, OrderedSpace, space_from_descriptor, space_to_descriptor
 
 __all__ = [
     "Preference",
@@ -30,8 +30,6 @@ __all__ = [
     "preference_to_json",
     "preference_from_json",
 ]
-
-_EPS = 1e-12
 
 
 def same_space(a: OrderedSpace, b: OrderedSpace) -> bool:

@@ -65,38 +65,33 @@ class RevealedEdge:
     pair_index: int | None = None  # 1-based position of the generating pair
 
 
-_SOURCES = (DATA, MONOTONICITY)  # RevealedRelation.source holds positions in this tuple
-
-
 @dataclass(frozen=True, eq=False)
 class RevealedRelation:
     """Weak and strict revealed edges over a space, with per-edge provenance.
 
     Edge i lives in parallel arrays: point x[i] is revealed weakly above
-    point y[i], strictly when strict[i]; source[i] is its position in
-    (data, monotonicity), and pair_index[i] the 1-based position of the
-    pair that first revealed it (0 for monotonicity edges). Edges are unique
-    by (x, y, strict, source): data edges in the order the pairs reveal
-    them, then the monotonicity edges. `edges` is a view derived from the
-    arrays.
+    point y[i], strictly when strict[i], and pair_index[i] is the 1-based
+    position of the pair that first revealed it, or 0 for a monotonicity
+    edge. The data edges are unique by (x, y, strict), in the order the
+    pairs reveal them; the monotonicity edges follow. `edges` is a view
+    derived from the arrays.
     """
 
     space: OrderedSpace
     x: np.ndarray
     y: np.ndarray
     strict: np.ndarray
-    source: np.ndarray
     pair_index: np.ndarray
 
     def __post_init__(self):
-        for column in (self.x, self.y, self.strict, self.source, self.pair_index):
+        for column in (self.x, self.y, self.strict, self.pair_index):
             column.setflags(write=False)
 
     @cached_property
     def edges(self) -> tuple[RevealedEdge, ...]:
-        columns = (a.tolist() for a in (self.x, self.y, self.strict, self.source, self.pair_index))
-        return tuple(RevealedEdge(x, y, strict, _SOURCES[source], k or None)
-                     for x, y, strict, source, k in zip(*columns))
+        columns = (a.tolist() for a in (self.x, self.y, self.strict, self.pair_index))
+        return tuple(RevealedEdge(x, y, strict, DATA if k else MONOTONICITY, k or None)
+                     for x, y, strict, k in zip(*columns))
 
     @cached_property
     def arc_matrix(self) -> np.ndarray:
@@ -114,12 +109,12 @@ class RevealedRelation:
     def prefix(self, k: int) -> "RevealedRelation":
         """The edges the first k pairs reveal, pair_index <= k, and every monotonicity edge; self if all stay."""
         keep = self.pair_index <= k
-        columns = (self.x, self.y, self.strict, self.source, self.pair_index)
+        columns = (self.x, self.y, self.strict, self.pair_index)
         return self if keep.all() else RevealedRelation(self.space, *(column[keep] for column in columns))
 
     def data_edges(self) -> np.ndarray:
-        """Mask of the edges revealed by the data."""
-        return self.source == _SOURCES.index(DATA)
+        """Mask of the edges revealed by the data, the ones with a pair."""
+        return self.pair_index > 0
 
     def has_monotone_edges(self) -> bool:
         return not self.data_edges().all()
@@ -188,9 +183,7 @@ def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monot
     for is_strict, order in orders:
         ii, jj = np.nonzero(order)
         columns.append((ii, jj, np.full(len(ii), is_strict), np.zeros(len(ii), dtype=np.int64)))
-    x, y, strict, pair_index = (np.concatenate(column) for column in zip(*columns))
-    source = (pair_index == 0).astype(np.int8)  # only data edges have a pair
-    return RevealedRelation(e.space, x, y, strict, source, pair_index)
+    return RevealedRelation(e.space, *(np.concatenate(column) for column in zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -415,40 +408,25 @@ def extend_preference(r: RevealedRelation, policy: RationalizationPolicy) -> Pre
 # adversarial indifference construction
 
 
-def _chop(lo: int, hi: int, max_len: int) -> list[tuple[int, int]]:
-    # split [lo, hi] into consecutive runs of at most max_len levels
-    if lo > hi:
-        return []
-    total = hi - lo + 1
-    q = math.ceil(total / max_len)
-    base, rem = divmod(total, q)
-    runs, cur = [], lo
-    for i in range(q):
-        size = base + (1 if i < rem else 0)
-        runs.append((cur, cur + size - 1))
-        cur += size
-    return runs
-
-
-def _partition_axis(num_levels: int, data_levels: list[int], max_len: int) -> list[tuple[int, int]]:
-    """Split axis levels into runs: each data level gets its own 3-level run."""
-    runs: list[tuple[int, int]] = []
-    cursor = 0
-    ds = sorted(set(data_levels))
-    for idx, d in enumerate(ds):
-        nxt = ds[idx + 1] if idx + 1 < len(ds) else num_levels
-        hi_max = min(num_levels - 1, nxt - 1)
-        start = min(max(cursor, d - 1), hi_max - 2)
-        end = start + 2
-        if start < cursor or not (start <= d <= end) or end > hi_max:
+def _partition_axis(num_levels: int, data_levels: np.ndarray, max_len: int) -> np.ndarray:
+    """Run id of each axis level: each data level gets its own 3-level run, the others runs of at most max_len."""
+    first = np.zeros(num_levels, dtype=bool)  # the first level of each run
+    gaps, cursor = [], 0
+    ds = np.unique(data_levels).tolist()
+    for d, nxt in zip(ds, ds[1:] + [num_levels]):
+        start = min(max(cursor, d - 1), nxt - 3)
+        if start < cursor:
             raise ResolutionError(
                 "observed alternatives are too close on the grid to isolate; refine the grid"
             )
-        runs.extend(_chop(cursor, start - 1, max_len))
-        runs.append((start, end))
-        cursor = end + 1
-    runs.extend(_chop(cursor, num_levels - 1, max_len))
-    return runs
+        gaps.append(np.arange(cursor, start))
+        first[start] = True
+        cursor = start + 3
+    gaps.append(np.arange(cursor, num_levels))
+    for gap in gaps:
+        if gap.size:
+            first[[run[0] for run in np.array_split(gap, math.ceil(gap.size / max_len))]] = True
+    return first.cumsum() - 1
 
 
 def _grid_axes(space: OrderedSpace):
@@ -466,53 +444,35 @@ def _indifference_from_relation(r: RevealedRelation) -> Preference:
     if space.kind != "euclidean_grid":
         raise ConfigurationError("the indifference construction needs a euclidean grid space")
     data = r.data_edges()
-    stage = int(r.pair_index[data].max(initial=1))
+    stage = int(r.pair_index.max(initial=1))
     dims, res, bounds, steps, levels = _grid_axes(space)
     cell_diameter = max(1.0 / (2.0 * stage), 2.0 * float(steps.max()))
 
-    data_nodes = np.unique(np.concatenate([r.x[data], r.y[data]])).tolist()
+    data_nodes = np.unique(np.concatenate([r.x[data], r.y[data]]))
     heights = _min_height(r.condensation)[r.condensation.labels[data_nodes]]
     top = heights.max(initial=0)
-    anchor_vals = {node: (2.0 * h - top) / max(top, 1) for node, h in zip(data_nodes, heights)}
 
-    axis_runs, run_of_point = [], []
+    # each point's cell (its runs on every axis, in mixed radix) and the cell's center; every observed level owns
+    # a 3-level run on its axis, so an observed point is alone in its cell of 3**dims points
+    cell = np.zeros(space.num_points, dtype=np.int64)
+    center = np.empty((space.num_points, dims))
     for d in range(dims):
         max_len = max(3, int(cell_diameter / steps[d] + 1e-9) + 1)
-        runs = _partition_axis(res, levels[data_nodes, d].tolist(), max_len)
-        axis_runs.append(runs)
-        run_of_level = np.repeat(np.arange(len(runs)), [hi - lo + 1 for lo, hi in runs])
-        run_of_point.append(run_of_level[levels[:, d]].tolist())
-    cell_of_point = list(zip(*run_of_point))
+        run = _partition_axis(res, levels[data_nodes, d], max_len)
+        lo, hi = np.searchsorted(run, run), np.searchsorted(run, run, side="right") - 1
+        axis = np.linspace(bounds[d, 0], bounds[d, 1], res)
+        center[:, d] = ((axis[lo] + axis[hi]) / 2.0)[levels[:, d]]
+        cell = cell * (run[-1] + 1) + run[levels[:, d]]
 
-    cells: dict[tuple, list[int]] = {}
-    for idx, key in enumerate(cell_of_point):
-        cells.setdefault(key, []).append(idx)
-    occupied = {}
-    for node in data_nodes:
-        if cell_of_point[node] in occupied:
-            raise ResolutionError("two observed alternatives share a cell; refine the grid")
-        occupied[cell_of_point[node]] = node
-
-    axes = [np.linspace(bounds[d, 0], bounds[d, 1], res) for d in range(dims)]
+    # the free points of each cell from nearest its center outward take 2, -2, then 0; a lone free point takes 0
+    free = np.setdiff1d(np.arange(space.num_points), data_nodes)
+    free = free[np.lexsort((free, np.abs(space.points[free] - center[free]).max(axis=1), cell[free]))]
+    in_cell = cell[free]
+    position = np.arange(free.size) - np.searchsorted(in_cell, in_cell)
+    lone = np.bincount(in_cell)[in_cell] < 2
     values = np.zeros(space.num_points)
-    for key, members in cells.items():
-        center = np.array(
-            [(axes[d][axis_runs[d][key[d]][0]] + axes[d][axis_runs[d][key[d]][1]]) / 2.0 for d in range(dims)]
-        )
-        anchor = occupied.get(key)
-        free = [i for i in members if i != anchor]
-        free.sort(key=lambda i: (float(np.abs(space.points[i] - center).max()), i))
-        if anchor is not None:
-            values[anchor] = anchor_vals[anchor]
-            if len(free) < 2:
-                raise ResolutionError("cell around an observed alternative is too small for the bands")
-        if len(free) >= 2:
-            values[free[0]] = 2.0
-            values[free[1]] = -2.0
-            for i in free[2:]:
-                values[i] = 0.0
-        elif free:
-            values[free[0]] = 0.0
+    values[free] = np.where(lone, 0.0, np.array([2.0, -2.0, 0.0])[np.minimum(position, 2)])
+    values[data_nodes] = (2.0 * heights - top) / max(top, 1)
     return from_utility(space, values)
 
 
@@ -523,6 +483,10 @@ def indifference_construction(e: ExperimentSequence, c: ChoiceSequence) -> Prefe
     each observed alternative alone in its cell at a mid-band value, and
     plants a high and a low band point inside every cell, so the output
     strongly rationalizes the data while its graph is dense in X times X.
+    Each observed axis level owns a 3-level run of its axis, so two observed
+    alternatives differ in some run and never share a cell, and the cell of
+    one holds 3**dims points. Raises ResolutionError when observed levels
+    are too close to get their own runs.
     """
     r = revealed_relation(e, c, c.mode, monotone="none")
     _require_consistent(r)

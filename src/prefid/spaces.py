@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _POINT_BUDGET = 4096
+_EPS = 1e-12  # closed balls: a point within radius + _EPS of the center is inside
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -329,7 +330,7 @@ def check_countable_order_property(space: OrderedSpace, B: DenseSubset, radius: 
     if radius <= 0:
         raise DomainError("radius must be positive")
     members = list(B.members)
-    near = space.distance_matrix[:, members] <= radius + 1e-12
+    near = space.distance_matrix[:, members] <= radius + _EPS
     below = space.weak_order[:, members]      # [x, b] : x >= b
     above = space.weak_order[members, :].T    # [x, b] : b >= x
     ok = (near & below).any(axis=1) & (near & above).any(axis=1)

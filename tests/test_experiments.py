@@ -12,6 +12,7 @@ from prefid import (
     ChoiceSequence,
     ConfigurationError,
     DomainError,
+    ExperimentSequence,
     choices_from_csv,
     choices_to_csv,
     dense_subset,
@@ -146,6 +147,28 @@ def test_library_sequences_hold_only_arrays():
         tracemalloc.stop()
     assert len(e_k) == len(c_k) == 165_600
     assert retained < 6e6
+
+
+@pytest.mark.parametrize("bad", [(2, 2), (0, 5), (-1, 1)], ids=["self_pair", "above_range", "negative"])
+def test_first_bad_pair_is_named_by_its_k(line5, bad):
+    pairs = np.array([(0, 1), (1, 2), bad, (3, 4), bad])
+    with pytest.raises(DomainError, match=r"pair \[-?\d, \d\] at k=3 is not"):
+        ExperimentSequence(line5, dense_subset(line5), pairs).pair_array
+
+
+def test_first_empty_choice_is_named_by_its_k(line5):
+    e = enumerate_pairs(dense_subset(line5))
+    mask = np.ones((len(e), 2), dtype=bool)
+    mask[[3, 6]] = False
+    with pytest.raises(DomainError, match="choice at k=4 is empty"):
+        ChoiceSequence(e, mask, "strong").chose_mask
+
+
+@pytest.mark.parametrize("as_array", [True, False], ids=["arrays", "tuples"])
+def test_empty_sequences_are_valid(line5, as_array):
+    e = ExperimentSequence(line5, dense_subset(line5), np.zeros((0, 2), dtype=np.int64) if as_array else ())
+    c = ChoiceSequence(e, np.zeros((0, 2), dtype=bool) if as_array else (), "weak")
+    assert e.pair_array.shape == c.chose_mask.shape == (0, 2)
 
 
 class TestGenerateChoices:

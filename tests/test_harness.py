@@ -124,6 +124,29 @@ class TestExperimentConfig:
         other = ExperimentConfig.from_dict(dict(BASE_CONFIG, mode="weak"))
         assert other.config_hash() != cfg.config_hash()
 
+    # hashes recorded before the section defaults moved into one table; a new default must not move them
+    @pytest.mark.parametrize("change, digest", [
+        pytest.param({}, "657aa41b2ef0a28a", id="every_section_absent"),
+        pytest.param({"schedule": {"order": "shuffled", "seed": 4}}, "2bbba85dc9f0e518", id="schedule"),
+        pytest.param({"mode": "weak"}, "f074ebf23ae2074c", id="mode"),
+        pytest.param({"tie_policy": "first"}, "60a3ba4412f307aa", id="tie_policy"),
+        pytest.param({"policy": {"tag": "adversarial_far", "target": "generator", "seed": 2, "budget": 30}},
+                     "4b3f1bb85ba38405", id="policy"),
+        pytest.param({"subset": {"stride": 2}}, "a375590c73414c4f", id="subset"),
+        pytest.param({"k_grid": [1, 3, 9]}, "40762e9d4d770a0c", id="k_grid"),
+        pytest.param({"diameter": {"num_samples": 20, "policy_class": "all", "seed": 1}}, "f9ea7124b7d9e59b",
+                     id="diameter"),
+        pytest.param({"diameter": None}, "657aa41b2ef0a28a", id="diameter_null"),
+        pytest.param({"utility_distance": True}, "b2db59f863656225", id="utility_distance"),
+        pytest.param({"output_dir": "out/run"}, "4ce146fad19f0d66", id="output_dir"),
+        pytest.param({"schedule": {"seed": 3.0}, "policy": {"budget": 40.0, "seed": 1.0}, "subset": {"stride": 2.0},
+                      "diameter": {"num_samples": 10.0, "seed": 0.0}, "k_grid": [1.0, 4.0]}, "ca4ce2d11b6615e8",
+                     id="whole_floats"),
+    ])
+    def test_pinned_hash(self, change, digest):
+        doc = {"space": GRID3_DOC, "generator": {"formula": "sum"}, **change}
+        assert ExperimentConfig.from_dict(doc).config_hash() == digest
+
     def test_policy_target_must_be_resolved(self):
         cfg = ExperimentConfig.from_dict(
             dict(BASE_CONFIG, policy={"tag": "adversarial_far", "target": "generator"})
@@ -459,6 +482,8 @@ class TestCli:
         pytest.param({"diameter": {"policy_class": ["all"]}}, id="diameter_class_not_string"),
         pytest.param({"generator": {"formula": ["sum"]}}, id="formula_not_string"),
         pytest.param({"output_dir": 5}, id="output_dir_not_path"),
+        *[pytest.param({"utility_distance": flag}, id=f"utility_distance_{name}")
+          for name, flag in (("string_false", "false"), ("string_no", "no"), ("list", [0]), ("integer", 1))],
         pytest.param({"generator": {"formula": "coordinate", "params": [1]}}, id="params_not_object"),
         pytest.param({"generator": {"formula": "coordinate", "params": {"dim": "x"}}}, id="dim_not_integer"),
         pytest.param({"generator": {"formula": "cobb_douglas_mix", "params": {"mix": "x"}}}, id="mix_not_number"),

@@ -116,6 +116,8 @@ class TestRevealedRelation:
         e, c = dataset(chain6, [(0, 1, (1,))], "weak")
         r = revealed_relation(e, c, "weak", monotone="weak")
         assert r.has_monotone_edges()
+        # the view names an edge with a pair a data edge, any other a monotonicity edge
+        assert [(ed.source, ed.pair_index) for ed in r.edges] == [("data", 1)] + [("monotonicity", None)] * 15
         # every ordered pair i > j of the chain appears as a weak edge
         assert {(i, j) for i in range(6) for j in range(6) if i > j} <= edge_sets(r)[0]
 
@@ -357,7 +359,7 @@ class TestRelationPrefix:
         assert r.prefix(len(e)) is r
         k = data.draw(st.integers(1, len(e)))
         got, fresh = r.prefix(k), revealed_relation(*restrict(e, c, k), mode, monotone=monotone)
-        for name in ("x", "y", "strict", "source", "pair_index"):
+        for name in ("x", "y", "strict", "pair_index"):
             assert getattr(got, name).dtype == getattr(fresh, name).dtype, name
             assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
 
