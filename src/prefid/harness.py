@@ -43,8 +43,9 @@ from .preferences import (
 )
 from .rationalize import (
     RationalizationPolicy,
+    _diameter_monotone,
+    _relation_diameter,
     check_consistency,
-    diameter_estimate,
     extend_preference,
     indifference_construction,
     rationalizes,
@@ -275,8 +276,9 @@ _DIAMETER_CLASS = {"none": "all", "weak": "weak_monotone", "strict": "strict_mon
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Generate data from the configured preference and rationalize prefixes.
 
-    One revealed relation is built per run, over the pairs up to the last
-    checkpoint, and each checkpoint ranks its `prefix`. Each row records the
+    One revealed relation is built per run and monotone class (the policy's,
+    and the diameter's when it differs), over the pairs up to the last
+    checkpoint, and each checkpoint takes its `prefix`. Each row records the
     distance from the extended preference to the generator, plus optional
     diameter and utility-distance columns.
     A prefix the policy cannot rationalize becomes a failure row, with
@@ -308,7 +310,9 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     needs = {policy.monotone}
     if config.diameter is not None:
         dclass = config.diameter.get("policy_class", _DIAMETER_CLASS[policy.monotone])
-        needs |= {monotone for monotone, name in _DIAMETER_CLASS.items() if name == dclass}
+        num_samples, dseed = int(config.diameter.get("num_samples", 200)), int(config.diameter.get("seed", 0))
+        dmonotone = _diameter_monotone(dclass, num_samples)
+        needs.add(dmonotone)
     if needs & {"weak", "strict"} and not is_weakly_monotone(gen):
         raise ConfigurationError("generator is not weakly monotone but the policy or diameter requires it")
     if "strict" in needs and not is_strictly_monotone(gen):
@@ -325,12 +329,13 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         raise ConfigurationError(f"k_grid exceeds the {len(e)} available pairs")
 
     u_star = UtilityFunction(space, values) if config.utility_distance else None
-    full = revealed_relation(*restrict(e, c, ks[-1]), config.mode, monotone=policy.monotone)
+    full = {monotone: revealed_relation(*restrict(e, c, ks[-1]), config.mode, monotone=monotone) for monotone in needs}
     rows = []
     for k in ks:
         t0 = time.perf_counter()
         e_k, c_k = restrict(e, c, k)
-        r = full.prefix(k)
+        relations = {monotone: relation.prefix(k) for monotone, relation in full.items()}
+        r = relations[policy.monotone]
         try:
             pref = extend_preference(r, policy)
         except PreconditionError:
@@ -342,8 +347,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         delta = closed_convergence_distance(pref, gen)
         diam = None
         if config.diameter is not None:
-            diam = diameter_estimate(e_k, c_k, dclass, int(config.diameter.get("num_samples", 200)),
-                                     int(config.diameter.get("seed", 0))).value
+            diam = _relation_diameter(relations[dmonotone], e_k, c_k, dclass, num_samples, dseed).value
         udist = None
         if u_star is not None:
             try:

@@ -7,14 +7,13 @@ intransitive limit relations are plain boolean matrices.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
 from .errors import DomainError
-from .spaces import _EPS, OrderedSpace, space_from_descriptor, space_to_descriptor
+from .spaces import _EPS, OrderedSpace
 
 __all__ = [
     "Preference",
@@ -27,8 +26,6 @@ __all__ = [
     "is_quasitransitive",
     "closed_convergence_distance",
     "li_ls_limit",
-    "preference_to_json",
-    "preference_from_json",
 ]
 
 
@@ -220,34 +217,10 @@ def _within(hi: np.ndarray, lo: np.ndarray, rank: np.ndarray) -> bool:
     return bool((hi >= np.maximum.accumulate(top)[rank]).all())
 
 
-def _graph_diameter(space: OrderedSpace, stack: np.ndarray) -> float:
-    """Largest Hausdorff distance between two graphs of a (K, n, n) boolean stack or (K, n) rank rows.
-
-    Two graphs are within r of each other when each lies in the other's
-    r-dilation, so the largest pairwise distance is the least radius at
-    which every graph's dilation covers the union of the stack. Distances
-    take only the values in `space.distance_values`, so a binary search over
-    them finds it exactly. Rank rows test coverage on their envelopes in
-    O(K n^2), two rows by one prefix maximum each (`_within`); boolean graphs
-    by `_dilate`'s O(n^3) product, which the exact diameter keeps: its
-    thousands of candidates live on at most 8 points.
-    """
-    if stack.ndim == 3:
-        union = stack.any(axis=0)
-    elif len(stack) != 2:
-        union = reduce(np.logical_or, (row[:, None] >= row[None, :] for row in stack))
-
-    def covered(radius):
-        if stack.ndim == 3:
-            return not (union & ~_dilate(space, radius, stack)).any()
-        hi, lo = _envelopes(space, radius, stack)
-        if len(stack) == 2:
-            return _within(hi[0], lo[0], stack[1]) and _within(hi[1], lo[1], stack[0])
-        return not any((union & (h[:, None] < l[None, :])).any() for h, l in zip(hi, lo))
-
+def _least_radius(space: OrderedSpace, covered) -> float:
+    """The least value in `space.distance_values` where `covered(radius)` holds, by bisection; the last always does."""
     radii = space.distance_values
     lo, hi = 0, len(radii) - 1
-    # radii[hi] always works: it is the diameter of X
     while lo < hi:
         mid = (lo + hi) // 2
         if covered(radii[mid]):
@@ -257,25 +230,71 @@ def _graph_diameter(space: OrderedSpace, stack: np.ndarray) -> float:
     return float(radii[lo])
 
 
+def _graph_diameter(space: OrderedSpace, stack: np.ndarray) -> float:
+    """Largest Hausdorff distance between two graphs of a (K, n, n) boolean stack or (K, n) rank rows.
+
+    Two graphs are within r of each other when each lies in the other's
+    r-dilation, so the largest pairwise distance is the least radius at
+    which every graph's dilation covers the union of the stack. Distances
+    take only the values in `space.distance_values`, so a binary search over
+    them finds it exactly: the diameter of X always covers. Rank rows test
+    coverage on their envelopes in O(K n^2); boolean graphs by `_dilate`'s
+    O(n^3) product, which the exact diameter keeps: its thousands of
+    candidates live on at most 8 points.
+    """
+    if stack.ndim == 3:
+        union = stack.any(axis=0)
+        return _least_radius(space, lambda radius: not (union & ~_dilate(space, radius, stack)).any())
+    union = reduce(np.logical_or, (row[:, None] >= row[None, :] for row in stack))
+    return _least_radius(space, lambda radius: not any(
+        (union & (hi[:, None] < lo[None, :])).any() for hi, lo in zip(*_envelopes(space, radius, stack))))
+
+
+def _distance_to(q: Preference):
+    """The map p -> closed_convergence_distance(p, q) over Preferences, computing q's envelopes once per radius.
+
+    p lies in q's radius-dilation iff, for every i, hi[i] >= max{lo[j] :
+    p.rank[j] <= p.rank[i]} with q's `_envelopes` (`_within`), and the other
+    way round; the distance is the least radius at which both hold.
+    """
+    space = q.space
+    target = cache(lambda radius: _envelopes(space, radius, q.rank[None, :]))
+
+    def distance(p: Preference) -> float:
+        if not same_space(p.space, space):
+            raise DomainError("relations live on different spaces")
+
+        def covered(radius):
+            (hi,), (lo,) = target(radius)
+            if not _within(hi, lo, p.rank):
+                return False
+            (hi,), (lo,) = _envelopes(space, radius, p.rank[None, :])
+            return _within(hi, lo, q.rank)
+
+        return 0.0 if np.array_equal(p.rank, q.rank) else _least_radius(space, covered)
+
+    return distance
+
+
 def closed_convergence_distance(p, q) -> float:
     """Hausdorff distance between two relation graphs in X times X.
 
     The product space carries the max of the two coordinate distances, so
     the distance is one of the space's point distances: the diameter of the
-    two-graph set, found by the threshold search of `_graph_diameter`. For
-    two Preferences, p lies in q's radius-dilation iff, for every i,
-    hi[i] >= max{lo[j] : p.rank[j] <= p.rank[i]} with q's `_envelopes`, so
-    neither graph is built. Other relations take the matrix product.
+    two-graph set, found by a threshold search. Two Preferences compare on
+    rank envelopes (`_distance_to`), so neither graph is built. Other
+    relations take the matrix product of `_graph_diameter`.
     Raises DomainError for relations on different spaces or an empty graph.
     """
-    if not (isinstance(p, Preference) and isinstance(q, Preference)):
-        p, q = _as_relation(p), _as_relation(q)
+    if isinstance(p, Preference) and isinstance(q, Preference):
+        return _distance_to(q)(p)
+    p, q = _as_relation(p), _as_relation(q)
     if not same_space(p.space, q.space):
         raise DomainError("relations live on different spaces")
-    stack = np.stack([p.rank, q.rank] if isinstance(p, Preference) else [p.matrix, q.matrix])
-    if stack.ndim == 3 and not stack.any(axis=(1, 2)).all():
+    stack = np.stack([p.matrix, q.matrix])
+    if not stack.any(axis=(1, 2)).all():
         raise DomainError("closed convergence distance needs nonempty relations")
-    if np.array_equal(stack[0], stack[1]):
+    if np.array_equal(p.matrix, q.matrix):
         return 0.0
     return _graph_diameter(p.space, stack)
 
@@ -317,15 +336,4 @@ def li_ls_limit(seq, radius_schedule, tail_starts=None):
         li &= met.all(axis=0)
         ls &= met.any(axis=0)
     return BinaryRelation(space, li), BinaryRelation(space, ls)
-
-
-def preference_to_json(p: Preference) -> str:
-    doc = {"space_ref": space_to_descriptor(p.space), "ranks": [int(r) for r in p.rank]}
-    return json.dumps(doc, indent=2)
-
-
-def preference_from_json(text: str, space: OrderedSpace | None = None) -> Preference:
-    doc = json.loads(text)
-    sp = space if space is not None else space_from_descriptor(doc["space_ref"])
-    return Preference(sp, np.asarray(doc["ranks"], dtype=int))
 

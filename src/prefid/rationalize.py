@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError, ConfigurationError, DomainError, PreconditionError, ResolutionError
 from .experiments import STRONG, WEAK, ChoiceSequence, ExperimentSequence
-from .preferences import Preference, _graph_diameter, closed_convergence_distance, from_utility
+from .preferences import Preference, _distance_to, _graph_diameter, from_utility
 from .spaces import OrderedSpace
 
 __all__ = [
@@ -196,11 +196,38 @@ class _Condensation:
     strict_inside: tuple          # strict edges whose endpoints share a component
 
     @cached_property
+    def covering(self) -> np.ndarray:
+        """Mask of the covering arcs, the ones no longer path implies: the transitive reduction.
+
+        Walks the components in a topological order, lowest first, keeping each one's strict down-set
+        as a boolean row; an arc (u, v) covers unless v lies below another component that u is at least.
+        """
+        num = self.num_comps
+        order = np.argsort(_heaviest_paths(num, self.arc_u, self.arc_v, np.ones_like(self.arc_u)))
+        by_tail = np.argsort(self.arc_u, kind="stable")
+        heads = self.arc_v[by_tail]
+        bounds = np.searchsorted(self.arc_u[by_tail], np.arange(num + 1)).tolist()
+        down = np.zeros((num, num), dtype=bool)
+        keep = np.empty(len(heads), dtype=bool)
+        for comp in order.tolist():
+            lo, hi = bounds[comp], bounds[comp + 1]
+            below = down[heads[lo:hi]].any(axis=0)
+            keep[lo:hi] = ~below[heads[lo:hi]]
+            below[heads[lo:hi]] = True
+            down[comp] = below
+        return keep[np.argsort(by_tail)]
+
+    @cached_property
     def above(self) -> list[list[int]]:
-        # above[cv] = the components cu of the arcs into cv, ascending; they place after cv
-        bounds = np.searchsorted(self.arc_v, np.arange(self.num_comps + 1)).tolist()
-        tails = self.arc_u.tolist()
+        # above[cv] = the components cu of the covering arcs into cv, ascending; they place after cv
+        bounds = np.searchsorted(self.arc_v[self.covering], np.arange(self.num_comps + 1)).tolist()
+        tails = self.arc_u[self.covering].tolist()
         return [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+    @cached_property
+    def num_lower_covers(self) -> list[int]:
+        # how many components each component covers: the ones it waits for in `_topological`
+        return np.bincount(self.arc_u[self.covering], minlength=self.num_comps).tolist()
 
     @cached_property
     def strict_near(self) -> list[set[int]]:
@@ -269,8 +296,11 @@ def _topological(cond: _Condensation, pick):
     `pick(ready)` gives the position in `ready` of the component taken
     next. `ready` starts with the components that beat nothing, ascending;
     a taken component releases the components above it in ascending order.
+    The walk counts covering arcs only. The components taken always form a
+    down-set, so the last one taken below a waiter is a lower cover of it,
+    and each waiter is released at the same step as when all arcs count.
     """
-    remaining = np.bincount(cond.arc_u, minlength=cond.num_comps).tolist()
+    remaining = list(cond.num_lower_covers)
     ready = [comp for comp, count in enumerate(remaining) if count == 0]
     while ready:
         comp = ready.pop(pick(ready))
@@ -328,7 +358,10 @@ def sample_extension(r: RevealedRelation, rng, merge_prob: float = 0.5) -> Prefe
     Draws a uniform-candidate topological order of the component graph
     (worst component first) and merges adjacent components into shared
     ranks with the given probability when no strict edge separates them.
-    Every rationalizing total preorder is reachable by some draw.
+    Every rationalizing total preorder is reachable by some draw. The walk
+    follows covering arcs only. What is taken is always a down-set, so each
+    component becomes ready when its last lower cover is taken, the step it
+    would on all arcs: every seeded draw is unchanged.
     """
     rng = np.random.default_rng(rng)  # a Generator passes through unaltered
     cond = r.condensation
@@ -359,9 +392,12 @@ def adversarial_far_extension(
     from the target. The search stops after max(50, budget // 4) draws
     without improvement, or once the best distance reaches the diameter of
     the space. Returns (best preference found, budget_exhausted); the flag
-    is True when the budget ran out before either stop.
+    is True when the budget ran out before either stop. The target side of
+    every distance (its rank envelopes at each radius) is computed once per
+    search, not once per draw.
     """
     _require_consistent(r)
+    distance = _distance_to(target)
     rng = np.random.default_rng(seed)
     best, best_d = None, -1.0
     stale = 0
@@ -369,7 +405,7 @@ def adversarial_far_extension(
     for trial in range(max(1, budget)):
         merge_prob = float(rng.choice([0.0, 0.15, 0.4, 0.7, 0.9]))
         cand = sample_extension(r, rng, merge_prob=merge_prob)
-        d = closed_convergence_distance(cand, target)
+        d = distance(cand)
         if d > best_d:
             best, best_d = cand, d
             stale = 0
@@ -747,13 +783,24 @@ def diameter_estimate(
     Raises ConfigurationError for a negative num_samples or an unknown
     policy class, and PreconditionError for inconsistent data.
     """
+    r = revealed_relation(e, c, c.mode, monotone=_diameter_monotone(policy_class, num_samples))
+    return _relation_diameter(r, e, c, policy_class, num_samples, seed)
+
+
+def _diameter_monotone(policy_class: str, num_samples: int) -> str:
+    """The monotone edges a diameter policy class injects; ConfigurationError for a bad class or sample count."""
     if not isinstance(policy_class, str) or policy_class not in _POLICY_CLASSES:
         raise ConfigurationError(f"unknown policy class {policy_class!r}")
     if num_samples < 0:
         raise ConfigurationError(f"num_samples must be at least 0, got {num_samples}")
-    space = e.space
-    r = revealed_relation(e, c, c.mode, monotone=_POLICY_CLASSES[policy_class])
+    return _POLICY_CLASSES[policy_class]
+
+
+def _relation_diameter(r: RevealedRelation, e: ExperimentSequence, c: ChoiceSequence, policy_class: str,
+                       num_samples: int, seed: int) -> DiameterResult:
+    """`diameter_estimate` of the data (e, c), given their revealed relation r under the class's monotone edges."""
     _require_consistent(r)
+    space = e.space
     n = space.num_points
     if policy_class == "all" and n <= 8:
         method = "exact"

@@ -29,7 +29,6 @@ __all__ = [
     "from_points",
     "dense_subset",
     "check_countable_order_property",
-    "space_to_descriptor",
     "space_from_descriptor",
 ]
 
@@ -336,14 +335,6 @@ def check_countable_order_property(space: OrderedSpace, B: DenseSubset, radius: 
     ok = (near & below).any(axis=1) & (near & above).any(axis=1)
     witnesses = [int(i) for i in np.nonzero(~ok)[0]]
     return len(witnesses) == 0, witnesses
-
-
-def space_to_descriptor(space: OrderedSpace, emit_points: bool = False) -> dict:
-    """JSON-ready descriptor; points included only on request (or for raw spaces)."""
-    desc = dict(space.descriptor)
-    if emit_points and "points" not in desc:
-        desc["points"] = space.points.tolist()
-    return desc
 
 
 def _int_field(where: str, value, minimum: int | None = None) -> int:

@@ -8,9 +8,6 @@ near each other; arbitrary representations do not (see the gallery).
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,9 +23,6 @@ __all__ = [
     "chain_step_bound",
     "ordinal_equivalent",
     "max_norm_distance",
-    "utility_to_csv",
-    "utility_from_csv",
-    "utility_to_json",
 ]
 
 
@@ -146,37 +140,3 @@ def max_norm_distance(u: UtilityFunction, v: UtilityFunction, region=None) -> fl
         gap = gap[idx]
     return float(gap.max())
 
-
-def utility_to_csv(u: UtilityFunction) -> str:
-    """Rows of point coordinates followed by the value."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    dims = u.space.points.shape[1]
-    writer.writerow([f"x{d}" for d in range(dims)] + ["value"])
-    for i in range(u.space.num_points):
-        writer.writerow([repr(float(c)) for c in u.space.points[i]] + [repr(float(u.values[i]))])
-    return buf.getvalue()
-
-
-def utility_from_csv(text: str, space: OrderedSpace) -> UtilityFunction:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if not header or header[-1] != "value":
-        raise DomainError("expected a coordinate/value CSV with a 'value' column")
-    values = np.full(space.num_points, np.nan)
-    for row in reader:
-        if not row:
-            continue
-        coords = [float(v) for v in row[:-1]]
-        values[space.index_of(coords)] = float(row[-1])
-    if np.isnan(values).any():
-        raise DomainError("CSV does not cover every point of the space")
-    return UtilityFunction(space, values)
-
-
-def utility_to_json(u: UtilityFunction) -> str:
-    doc = {
-        "space": u.space.descriptor,
-        "values": [float(v) for v in u.values],
-    }
-    return json.dumps(doc, indent=2)

@@ -137,3 +137,42 @@ def fosd_compare(x, y, tol=1e-9):
     if le:
         return "less"
     return "incomparable"
+
+
+def full_arc_walk(num, arcs, pick):
+    """Components, one at a time, in the order of a ready-queue walk that counts every arc.
+
+    `arcs` holds (u, v): component u at least component v, so u waits until
+    v is taken. `ready` starts with the components that wait for nothing,
+    ascending; `pick(ready)` gives the position taken next, and a taken
+    component releases, in ascending order, the components it was the last
+    wait of. The walk is lazy, so a caller may draw between two picks.
+    """
+    waits = [sum(1 for u, _ in arcs if u == comp) for comp in range(num)]
+    above = [sorted(u for u, v in arcs if v == comp) for comp in range(num)]
+    ready = [comp for comp in range(num) if waits[comp] == 0]
+    while ready:
+        comp = ready.pop(pick(ready))
+        yield comp
+        for waiter in above[comp]:
+            waits[waiter] -= 1
+            if waits[waiter] == 0:
+                ready.append(waiter)
+
+
+def naive_transitive_reduction(num, arcs):
+    """The arcs (u, v) of an acyclic graph that no path of two or more arcs joins, by plain reachability."""
+    succ = {comp: {v for u, v in arcs if u == comp} for comp in range(num)}
+
+    def reaches(a, b):
+        seen, stack = set(), [a]
+        while stack:
+            node = stack.pop()
+            if node == b:
+                return True
+            if node not in seen:
+                seen.add(node)
+                stack.extend(succ[node])
+        return False
+
+    return {(u, v) for u, v in arcs if not any(reaches(w, v) for w in succ[u] if w != v)}

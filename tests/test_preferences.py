@@ -16,12 +16,10 @@ from prefid import (
     li_ls_limit,
     make_grid_euclidean,
     make_lottery_simplex,
-    preference_from_json,
-    preference_to_json,
     total_indifference,
 )
 from prefid.errors import DomainError
-from prefid.preferences import from_utility
+from prefid.preferences import _distance_to, from_utility
 
 from conftest import brute_dilation, brute_graph_distance
 
@@ -143,6 +141,27 @@ def test_envelope_distance_matches_dilation_and_loop_oracle(name, data):
     envelope = closed_convergence_distance(pa, pb)
     assert envelope == closed_convergence_distance(pa.relation(), pb.relation())
     assert envelope == pytest.approx(brute_graph_distance(space, pa, pb), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ENVELOPE_SPACES)), st.data())
+def test_distance_to_a_fixed_preference_matches_loop_oracle(name, data):
+    # besides random ranks, either side may be the all-tied preference, and both sides may be equal
+    space = ENVELOPE_SPACES[name]
+    n = space.num_points
+    ranks = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    ra = data.draw(st.one_of(ranks, st.just([0] * n)))
+    rb = data.draw(st.one_of(ranks, st.just([0] * n), st.just(ra)))
+    pa, pb = pref(space, ra), pref(space, rb)
+    want = brute_graph_distance(space, pa, pb)
+    to_a, to_b = _distance_to(pa), _distance_to(pb)
+    for p, q, to_q in ((pa, pb, to_b), (pb, pa, to_a)):
+        assert to_q(p) == pytest.approx(want, abs=1e-12)
+        assert closed_convergence_distance(p, q) == pytest.approx(want, abs=1e-12)
+    # the target's envelopes, kept from the calls above, serve later preferences too
+    for rc in data.draw(st.lists(ranks, max_size=3)):
+        pc = pref(space, rc)
+        assert to_b(pc) == pytest.approx(brute_graph_distance(space, pc, pb), abs=1e-12)
 
 
 def test_distance_of_preferences_builds_no_graph(grid3):
@@ -267,11 +286,6 @@ class TestMonotonicity:
 
 
 class TestSerialization:
-    def test_json_round_trip(self, line5):
-        p = pref(line5, (0, 2, 1, 1, 3))
-        back = preference_from_json(preference_to_json(p), line5)
-        assert back == p
-
     def test_total_indifference_is_one_class(self, grid3):
         p = total_indifference(grid3)
         assert p.num_classes() == 1

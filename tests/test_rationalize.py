@@ -54,7 +54,7 @@ from prefid.rationalize import (
     sample_extension,
 )
 
-from conftest import brute_graph_distance, dataset, longest_path_ranks
+from conftest import brute_graph_distance, dataset, full_arc_walk, longest_path_ranks, naive_transitive_reduction
 
 
 def naive_preorders(n):
@@ -396,6 +396,49 @@ class TestSampleExtension:
             sample_extension(r, 0)
 
 
+def oracle_sample(r, rng, merge_prob):
+    """sample_extension's ranks, drawn on the walk that counts every arc of the condensation."""
+    cond = r.condensation
+    arcs = list(zip(cond.arc_u.tolist(), cond.arc_v.tolist()))
+    strict = {frozenset(arc) for arc, s in zip(arcs, cond.arc_strict.tolist()) if s}
+    levels, block, level = {}, [], -1
+    for comp in full_arc_walk(cond.num_comps, arcs, lambda ready: int(rng.integers(len(ready)))):
+        if block and rng.random() < merge_prob and not any(frozenset((comp, b)) in strict for b in block):
+            block.append(comp)
+        else:
+            block, level = [comp], level + 1
+        levels[comp] = level
+    return [levels[comp] for comp in cond.labels.tolist()]
+
+
+class TestCoverWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_cover_walk_draws_as_the_full_walk(self, data):
+        dims = data.draw(st.integers(1, 3))
+        g = make_grid_euclidean(dims, data.draw(st.integers(2, 8)) if dims == 1 else 2, (0.0, 1.0))
+        monotone = data.draw(st.sampled_from(["none", "weak", "strict"]))
+        mode = data.draw(st.sampled_from(["strong", "weak"]))
+        # integer level weights keep ties exact; positive weights respect strict dominance
+        low = {"none": -2, "weak": 0, "strict": 1}[monotone]
+        weights = data.draw(st.lists(st.integers(low, 3), min_size=dims, max_size=dims))
+        truth = from_utility(g, np.rint(g.points * 7) @ np.array(weights, dtype=float))
+        members = data.draw(st.lists(st.integers(0, g.num_points - 1), min_size=2, max_size=8, unique=True))
+        e = enumerate_pairs(dense_subset(g, members=sorted(members)), "shuffled", data.draw(st.integers(0, 99)))
+        c = generate_choices(truth, e, mode=mode, tie_policy="both" if mode == "strong" else "first")
+        r = revealed_relation(*restrict(e, c, data.draw(st.integers(1, len(e)))), mode, monotone=monotone)
+        cond = r.condensation
+        arcs = list(zip(cond.arc_u.tolist(), cond.arc_v.tolist()))
+        covers = {arc for arc, keep in zip(arcs, cond.covering.tolist()) if keep}
+        assert covers == naive_transitive_reduction(cond.num_comps, arcs)
+        seed, merge_prob = data.draw(st.integers(0, 2**32)), data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            got = sample_extension(r, got_rng, merge_prob)
+            assert got.rank.tolist() == Preference(g, oracle_sample(r, want_rng, merge_prob)).rank.tolist()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestSeededGolden:
     """Seeded sampler outputs pinned to fixed values.
 
@@ -712,6 +755,25 @@ class TestDiameter:
         want = max(brute_graph_distance(grid3, a, b) for a, b in itertools.combinations(prefs, 2))
         assert want > 0
         assert res.value == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("free, policy_class, value", [
+        ((3, 4), "weak_monotone", 0.35), ((0, 1), "weak_monotone", 0.1), ((3, 4), "all", 0.35),
+    ])
+    def test_two_candidates(self, monkeypatch, free, policy_class, value):
+        # strong data on every pair of a 9-point line but one leaves that pair strict or tied: two
+        # candidates, measured by the K-row cover test; values recorded while two rows had their own test
+        line9 = from_points(np.array([0.0, 0.1, 0.3, 0.35, 0.7, 0.8, 1.0, 1.4, 1.5]).reshape(-1, 1))
+        pairs = [pair for pair in itertools.combinations(range(9), 2) if pair != free]
+        e = ExperimentSequence(line9, dense_subset(line9), tuple(pairs))
+        c = ChoiceSequence(e, tuple((j,) for _, j in pairs), "strong")
+        seen = []
+        real = rationalize_module._graph_diameter
+        monkeypatch.setattr(rationalize_module, "_graph_diameter",
+                            lambda space, stack: seen.append(stack) or real(space, stack))
+        res = diameter_estimate(e, c, policy_class, num_samples=10, seed=0)
+        assert (res.value, res.method, res.num_candidates) == (value, "sampled", 2)
+        (rows,) = seen
+        assert res.value == pytest.approx(brute_graph_distance(line9, *(Preference(line9, row) for row in rows)))
 
     def test_inconsistent_data_rejected(self, line5):
         e, c = dataset(line5, [(0, 1, (0,)), (0, 1, (1,))], "strong")

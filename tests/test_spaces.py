@@ -16,7 +16,6 @@ from prefid import (
     make_grid_euclidean,
     make_lottery_simplex,
     space_from_descriptor,
-    space_to_descriptor,
 )
 from prefid.errors import CapacityError, ConfigurationError, DomainError
 
@@ -245,7 +244,7 @@ class TestDescriptors:
     ])
     def test_round_trip(self, make):
         sp = make()
-        back = space_from_descriptor(space_to_descriptor(sp, emit_points=True))
+        back = space_from_descriptor(sp.descriptor)
         assert back.kind == sp.kind
         assert np.allclose(back.points, sp.points)
         assert np.array_equal(back.weak_order, sp.weak_order)

@@ -1,6 +1,5 @@
 """Tests for chain-anchored utility representations."""
 
-import json
 
 import numpy as np
 import pytest
@@ -19,9 +18,6 @@ from prefid.utility import (
     chain_step_bound,
     max_norm_distance,
     ordinal_equivalent,
-    utility_from_csv,
-    utility_to_csv,
-    utility_to_json,
 )
 
 
@@ -172,29 +168,3 @@ class TestMaxNorm:
         with pytest.raises(DomainError):
             max_norm_distance(u, u, region=[])
 
-
-class TestSerialization:
-    def test_csv_round_trip(self, grid3):
-        u = UtilityFunction(grid3, np.linspace(-1.0, 1.0, 9))
-        back = utility_from_csv(utility_to_csv(u), grid3)
-        assert back == u
-
-    def test_csv_header(self, grid3):
-        text = utility_to_csv(UtilityFunction(grid3, np.arange(9.0)))
-        assert text.splitlines()[0] == "x0,x1,value"
-
-    def test_csv_missing_point_rejected(self, grid3):
-        u = UtilityFunction(grid3, np.arange(9.0))
-        lines = utility_to_csv(u).splitlines()
-        with pytest.raises(DomainError):
-            utility_from_csv("\n".join(lines[:-1]), grid3)
-
-    def test_csv_bad_header_rejected(self, grid3):
-        with pytest.raises(DomainError):
-            utility_from_csv("x0,x1,util\n0.0,0.0,1.0\n", grid3)
-
-    def test_json_document(self, grid3):
-        u = UtilityFunction(grid3, np.arange(9.0))
-        doc = json.loads(utility_to_json(u))
-        assert doc["space"]["kind"] == "euclidean_grid"
-        assert doc["values"] == [float(v) for v in range(9)]
