@@ -12,7 +12,7 @@ import sys
 
 from .errors import CapacityError, ConfigurationError, DomainError, PreconditionError, ResolutionError
 from .experiments import choices_from_csv
-from .harness import GALLERY_ITEMS, ExperimentConfig, emit_report, run_convergence, run_gallery
+from .harness import GALLERY_ITEMS, ExperimentConfig, _defaults, emit_report, run_convergence, run_gallery
 from .rationalize import (
     RationalizationPolicy,
     check_consistency,
@@ -115,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dia.add_argument("--data", required=True, help="choice CSV path")
     p_dia.add_argument("--space", required=True, help="space descriptor JSON path")
     p_dia.add_argument("--mode", default="strong", choices=["strong", "weak"])
-    p_dia.add_argument("--samples", type=int, default=200)
+    p_dia.add_argument("--samples", type=int, default=_defaults(diameter_estimate)["num_samples"])
     p_dia.add_argument("--seed", type=int, default=0)
     p_dia.add_argument("--policy-class", default="all",
                        choices=["all", "weak_monotone", "strict_monotone"])

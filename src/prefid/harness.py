@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
 import numbers
 import os
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .experiments import (
 from .preferences import (
     BinaryRelation,
     Preference,
+    _distance_to,
     closed_convergence_distance,
     from_utility,
     is_locally_strict,
@@ -42,10 +44,12 @@ from .preferences import (
     total_indifference,
 )
 from .rationalize import (
+    _POLICY_CLASSES,
     RationalizationPolicy,
     _diameter_monotone,
     _relation_diameter,
     check_consistency,
+    diameter_estimate,
     extend_preference,
     indifference_construction,
     rationalizes,
@@ -81,27 +85,18 @@ def _real_field(where: str, value) -> float:
 
 
 def _formula_coordinate(points: np.ndarray, params: dict) -> np.ndarray:
-    dim = _int_field("generator param 'dim'", params.get("dim", 0))
-    if not (0 <= dim < points.shape[1]):
-        raise ConfigurationError(f"coordinate dim {dim} out of range")
-    return points[:, dim]
-
-
-def _formula_sum(points: np.ndarray, params: dict) -> np.ndarray:
-    return points.sum(axis=1)
-
-
-def _formula_product(points: np.ndarray, params: dict) -> np.ndarray:
-    return points.prod(axis=1)
+    if params["dim"] >= points.shape[1]:
+        raise ConfigurationError(f"coordinate dim {params['dim']} out of range")
+    return points[:, params["dim"]]
 
 
 def _formula_cobb_douglas_mix(points: np.ndarray, params: dict) -> np.ndarray:
-    mix = _real_field("generator param 'mix'", params.get("mix", 0.1))
+    mix = _real_field("generator param 'mix'", params["mix"])
     return points.prod(axis=1) + mix * points.sum(axis=1)
 
 
 def _formula_linear_index(points: np.ndarray, params: dict) -> np.ndarray:
-    index = params.get("index", ())
+    index = params["index"]
     if not isinstance(index, (list, tuple)):
         raise ConfigurationError(f"generator param 'index' must be a list of numbers, got {index!r}")
     index = np.array([_real_field("generator param 'index' entry", v) for v in index])
@@ -110,38 +105,61 @@ def _formula_linear_index(points: np.ndarray, params: dict) -> np.ndarray:
     return points @ index
 
 
+# each generator formula: its function, every param it takes with its default, and the least value of each int param
 FORMULAS = {
-    "coordinate": _formula_coordinate,
-    "sum": _formula_sum,
-    "product": _formula_product,
-    "cobb_douglas_mix": _formula_cobb_douglas_mix,
-    "linear_index": _formula_linear_index,
+    "coordinate": (_formula_coordinate, {"dim": 0}, {"dim": 0}),
+    "sum": (lambda points, params: points.sum(axis=1), {}, {}),
+    "product": (lambda points, params: points.prod(axis=1), {}, {}),
+    "cobb_douglas_mix": (_formula_cobb_douglas_mix, {"mix": 0.1}, {}),
+    "linear_index": (_formula_linear_index, {"index": ()}, {}),
 }
+
+
+def _defaults(fn) -> dict:
+    """The keyword defaults of a function or dataclass."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items() if p.default is not p.empty}
+
+
+# The run-config schema. A section's row: every key it accepts with its default, the least value of each integer
+# key, and the keys an absent section is hashed with (`config_hash`), None for the diameter: it alone may be absent
+# or null, and is then not run. An absent diameter.policy_class is the class of policy.monotone's edges.
+_SECTIONS = {
+    "schedule": ({"order": _defaults(enumerate_pairs)["schedule"], "seed": 0}, {"seed": 0}, ("order", "seed")),
+    "policy": (dict(_defaults(RationalizationPolicy), target="generator"), {"seed": 0, "budget": 0},
+               ("tag", "monotone")),
+    "subset": (_defaults(dense_subset), {"stride": 1}, ()),
+    "diameter": (dict(_defaults(diameter_estimate), policy_class=None), {"num_samples": 0, "seed": 0}, None),
+}
+_CONFIG_KEYS = {"space", "generator", "mode", "tie_policy", "k_grid", "utility_distance", "output_dir", *_SECTIONS}
+
+
+def _filled(where: str, section, defaults: dict, ints: dict) -> dict:
+    """`section` over its defaults, integer keys made int; ConfigurationError for bad types or an unknown key."""
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"config {where!r} must be an object, got {section!r}")
+    unknown = set(section) - set(defaults)
+    if unknown:
+        raise ConfigurationError(f"unknown {where} keys: {sorted(unknown)}")
+    filled = {**defaults, **section}
+    for name, minimum in ints.items():
+        filled[name] = _int_field(f"{where}.{name}", filled[name], minimum)
+    return filled
+
+
+def _generator_spec(spec) -> dict:
+    """A generator spec with its formula's params filled from `FORMULAS`."""
+    spec = _filled("generator", spec, {"formula": None, "params": {}}, {})
+    name = spec["formula"]
+    if not isinstance(name, str) or name not in FORMULAS:
+        raise ConfigurationError(f"unknown generator formula {name!r}")
+    return {"formula": name, "params": _filled("generator params", spec["params"], *FORMULAS[name][1:])}
 
 
 def generator_values(space, spec: dict) -> np.ndarray:
     """Evaluate a generator spec {"formula": name, "params": {...}} on a space."""
-    name = spec.get("formula")
-    if not isinstance(name, str) or name not in FORMULAS:
-        raise ConfigurationError(f"unknown generator formula {name!r}")
-    params = spec.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigurationError(f"generator params must be an object, got {params!r}")
-    return np.asarray(FORMULAS[name](space.points, params), dtype=float)
-
-
-_CONFIG_KEYS = {
-    "space", "generator", "schedule", "mode", "tie_policy", "policy",
-    "subset", "k_grid", "diameter", "utility_distance", "output_dir",
-}
-# per config section: the value an absent section takes, and its integer fields with their least allowed values;
-# only the diameter may be absent or null
-_SECTIONS = {
-    "schedule": ({"order": "diagonal", "seed": 0}, {"seed": 0}),
-    "policy": ({"tag": "canonical", "monotone": "none"}, {"seed": 0, "budget": 0}),
-    "subset": ({}, {"stride": 1}),
-    "diameter": (None, {"num_samples": 0, "seed": 0}),
-}
+    spec = _generator_spec(spec)
+    formula = FORMULAS[spec["formula"]][0]
+    return np.asarray(formula(space.points, spec["params"]), dtype=float)
 
 
 def _int_list(where: str, value) -> tuple[int, ...]:
@@ -152,7 +170,10 @@ def _int_list(where: str, value) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """A complete description of one convergence experiment, built by `from_dict` (or `from_json`) only."""
+    """A complete description of one convergence experiment, built by `from_dict` (or `from_json`) only.
+
+    The generator and sections are filled from their schema rows; `written` keeps them as written, for `to_dict`.
+    """
 
     space: dict
     generator: dict
@@ -165,6 +186,7 @@ class ExperimentConfig:
     diameter: dict | None
     utility_distance: bool
     output_dir: str | None
+    written: dict = field(repr=False)
 
     @staticmethod
     def from_dict(doc: dict) -> "ExperimentConfig":
@@ -177,20 +199,19 @@ class ExperimentConfig:
         mode = doc.get("mode", STRONG)
         if mode not in (STRONG, WEAK):
             raise ConfigurationError(f"unknown mode {mode!r}")
-        sections = {}
-        for key, (absent, ints) in _SECTIONS.items():
-            section = doc.get(key, absent)
-            if section is None and absent is None:
-                sections[key] = None
-                continue
-            if not isinstance(section, dict):
-                raise ConfigurationError(f"config {key!r} must be an object")
-            for name, minimum in ints.items():
-                if name in section:
-                    _int_field(f"{key}.{name}", section[name], minimum)
-            sections[key] = dict(section)
-        if sections["subset"].get("members") is not None:
-            _int_list("subset.members", sections["subset"]["members"])
+        sections = {"generator": _generator_spec(doc["generator"])}
+        written = {"generator": dict(doc["generator"])}
+        for key, (defaults, ints, hashed) in _SECTIONS.items():
+            section = doc.get(key, None if hashed is None else {name: defaults[name] for name in hashed})
+            sections[key] = None if section is None and hashed is None else _filled(key, section, defaults, ints)
+            written[key] = None if section is None else dict(section)
+        policy, diameter, subset = sections["policy"], sections["diameter"], sections["subset"]
+        if written["policy"].get("target") is not None and policy["tag"] != "adversarial_far":
+            raise ConfigurationError(f"policy.target is read only by the adversarial_far tag, not by {policy['tag']!r}")
+        if diameter is not None and "policy_class" not in written["diameter"]:
+            diameter["policy_class"] = next((cls for cls, m in _POLICY_CLASSES.items() if m == policy["monotone"]), None)
+        if subset["members"] is not None:
+            subset["members"] = _int_list("subset.members", subset["members"])
         output_dir = doc.get("output_dir")
         if output_dir is not None and not isinstance(output_dir, str):
             raise ConfigurationError(f"output_dir must be a path, got {output_dir!r}")
@@ -202,9 +223,8 @@ class ExperimentConfig:
         utility_distance = doc.get("utility_distance", False)
         if not isinstance(utility_distance, bool):
             raise ConfigurationError(f"utility_distance must be true or false, got {utility_distance!r}")
-        return ExperimentConfig(space=dict(doc["space"]), generator=dict(doc["generator"]), mode=mode,
-                                tie_policy=doc.get("tie_policy"), k_grid=k_grid, utility_distance=utility_distance,
-                                output_dir=output_dir, **sections)
+        return ExperimentConfig(space=dict(doc["space"]), mode=mode, tie_policy=doc.get("tie_policy"), k_grid=k_grid,
+                                utility_distance=utility_distance, output_dir=output_dir, written=written, **sections)
 
     @staticmethod
     def from_json(text_or_path: str) -> "ExperimentConfig":
@@ -222,19 +242,19 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
-        return {name: value for name, value in asdict(self).items() if value is not None}
+        """The config as hashed: the generator and each section as written, an absent section at its absent value."""
+        doc = asdict(self)
+        doc.update(doc.pop("written"))
+        return {name: value for name, value in doc.items() if value is not None}
 
     def config_hash(self) -> str:
+        """Hash of `to_dict`. It hashes the config as written, so `"schedule": {}` and an absent schedule, which
+        run alike, hash differently."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def rationalization_policy(self, target: Preference | None = None) -> RationalizationPolicy:
-        doc = self.policy
-        tag = doc.get("tag", "canonical")
-        if doc.get("target") is not None and tag != "adversarial_far":
-            raise ConfigurationError(f"policy.target is read only by the adversarial_far tag, not by {tag!r}")
-        return RationalizationPolicy(tag=tag, monotone=doc.get("monotone", "none"), seed=int(doc.get("seed", 0)),
-                                     target=target, budget=int(doc.get("budget", 400)))
+        return RationalizationPolicy(**dict(self.policy, target=target))
 
 
 def default_checkpoints(total: int) -> tuple[int, ...]:
@@ -270,9 +290,6 @@ class ConvergenceReport:
     metadata: dict
 
 
-_DIAMETER_CLASS = {"none": "all", "weak": "weak_monotone", "strict": "strict_monotone"}
-
-
 def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     """Generate data from the configured preference and rationalize prefixes.
 
@@ -288,39 +305,31 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     that fails its own replay still raises DomainError.
     """
     space = space_from_descriptor(config.space)
-    stride = int(config.subset.get("stride", 1))
-    members = config.subset.get("members")
-    B = dense_subset(space, members=members, stride=stride)
+    B = dense_subset(space, **config.subset)
     values = generator_values(space, config.generator)
     gen = from_utility(space, values)
 
     target = None
-    tag = config.policy.get("tag", "canonical")
-    if tag == "adversarial_far":
-        named = config.policy.get("target", "generator")
-        if named == "generator":
-            target = gen
-        elif named == "indifference":
-            target = total_indifference(space)
-        else:
+    if config.policy["tag"] == "adversarial_far":
+        named = config.policy["target"]
+        if named not in ("generator", "indifference"):
             raise ConfigurationError(f"unknown policy target {named!r}")
+        target = gen if named == "generator" else total_indifference(space)
     policy = config.rationalization_policy(target)
 
     # the generated data must fit the policy's class and the diameter's, so the generator must too
     needs = {policy.monotone}
-    if config.diameter is not None:
-        dclass = config.diameter.get("policy_class", _DIAMETER_CLASS[policy.monotone])
-        num_samples, dseed = int(config.diameter.get("num_samples", 200)), int(config.diameter.get("seed", 0))
-        dmonotone = _diameter_monotone(dclass, num_samples)
+    dcfg = config.diameter
+    if dcfg is not None:
+        dmonotone = _diameter_monotone(dcfg["policy_class"], dcfg["num_samples"])
         needs.add(dmonotone)
     if needs & {"weak", "strict"} and not is_weakly_monotone(gen):
         raise ConfigurationError("generator is not weakly monotone but the policy or diameter requires it")
     if "strict" in needs and not is_strictly_monotone(gen):
         raise ConfigurationError("generator is not strictly monotone but the policy or diameter requires it")
 
-    order = config.schedule.get("order", "diagonal")
-    seed = int(config.schedule.get("seed", 0))
-    e = enumerate_pairs(B, schedule=order, seed=seed)
+    seed = config.schedule["seed"]
+    e = enumerate_pairs(B, schedule=config.schedule["order"], seed=seed)
     tie = config.tie_policy or ("both" if config.mode == STRONG else "random")
     c = generate_choices(gen, e, config.mode, tie_policy=tie, seed=seed)
 
@@ -330,6 +339,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
 
     u_star = UtilityFunction(space, values) if config.utility_distance else None
     full = {monotone: revealed_relation(*restrict(e, c, ks[-1]), config.mode, monotone=monotone) for monotone in needs}
+    distance_to_gen = _distance_to(gen)
     rows = []
     for k in ks:
         t0 = time.perf_counter()
@@ -344,10 +354,11 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
             continue
         if not rationalizes(pref, e_k, c_k):
             raise DomainError(f"extension failed its own replay at k={k}")
-        delta = closed_convergence_distance(pref, gen)
+        delta = distance_to_gen(pref)
         diam = None
-        if config.diameter is not None:
-            diam = _relation_diameter(relations[dmonotone], e_k, c_k, dclass, num_samples, dseed).value
+        if dcfg is not None:
+            diam = _relation_diameter(relations[dmonotone], e_k, c_k, dcfg["policy_class"], dcfg["num_samples"],
+                                      dcfg["seed"]).value
         udist = None
         if u_star is not None:
             try:

@@ -121,22 +121,10 @@ def _as_relation(obj) -> BinaryRelation:
 
 
 def from_utility(space: OrderedSpace, values) -> Preference:
-    """Preference represented by a utility assignment.
-
-    `values` may be an array over point indices, a dict index -> value, or
-    a callable on coordinate vectors. Exactly equal values tie.
-    """
-    if callable(values):
-        vals = np.array([float(values(p)) for p in space.points])
-    elif isinstance(values, dict):
-        try:
-            vals = np.array([float(values[i]) for i in range(space.num_points)])
-        except KeyError as miss:
-            raise DomainError(f"missing value for point {miss.args[0]}") from None
-    else:
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (space.num_points,):
-            raise DomainError("need one value per point")
+    """Preference represented by a utility array over point indices; exactly equal values tie."""
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != (space.num_points,):
+        raise DomainError("need one value per point")
     if not np.isfinite(vals).all():
         raise DomainError("utility values must be finite")
     _, ranks = np.unique(vals, return_inverse=True)

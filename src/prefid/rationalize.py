@@ -383,7 +383,7 @@ def adversarial_far_extension(
     r: RevealedRelation,
     target: Preference,
     seed: int = 0,
-    budget: int = 400,
+    budget: int = RationalizationPolicy.budget,
 ) -> tuple[Preference, bool]:
     """Search the rationalization set for a preference far from `target`.
 

@@ -1,10 +1,13 @@
 """Tests for the experiment runner, gallery, reports, and CLI."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -142,10 +145,42 @@ class TestExperimentConfig:
         pytest.param({"schedule": {"seed": 3.0}, "policy": {"budget": 40.0, "seed": 1.0}, "subset": {"stride": 2.0},
                       "diameter": {"num_samples": 10.0, "seed": 0.0}, "k_grid": [1.0, 4.0]}, "ca4ce2d11b6615e8",
                      id="whole_floats"),
+        # a section hashes as written: these run as the config with no sections, but hash apart from it
+        pytest.param({"schedule": {}}, "60ddf47275a31a96", id="schedule_empty"),
+        pytest.param({"policy": {}}, "596f98f210d44c31", id="policy_empty"),
+        pytest.param({"policy": {"tag": "canonical", "monotone": "none", "seed": 0, "budget": 400}},
+                     "13aacacfeeb67d43", id="policy_spelled_out"),
     ])
     def test_pinned_hash(self, change, digest):
         doc = {"space": GRID3_DOC, "generator": {"formula": "sum"}, **change}
         assert ExperimentConfig.from_dict(doc).config_hash() == digest
+
+    @pytest.mark.parametrize("short, spelled", [
+        pytest.param({}, {"schedule": {"order": "diagonal", "seed": 0}}, id="schedule"),
+        pytest.param({}, {"policy": {"tag": "canonical", "monotone": "none", "seed": 0, "budget": 400}}, id="policy"),
+        pytest.param({"policy": {"tag": "adversarial_far"}},
+                     {"policy": {"tag": "adversarial_far", "monotone": "none", "seed": 0, "budget": 400,
+                                 "target": "generator"}}, id="policy_adversarial_far"),
+        pytest.param({}, {"subset": {"members": None, "stride": 1}}, id="subset"),
+        pytest.param({"diameter": {}}, {"diameter": {"policy_class": "all", "num_samples": 200, "seed": 0}},
+                     id="diameter"),
+        pytest.param({"policy": {"monotone": "weak"}, "diameter": {}},
+                     {"policy": {"monotone": "weak"},
+                      "diameter": {"policy_class": "weak_monotone", "num_samples": 200, "seed": 0}},
+                     id="diameter_class_of_policy"),
+        pytest.param({"generator": {"formula": "coordinate"}},
+                     {"generator": {"formula": "coordinate", "params": {"dim": 0}}}, id="params_dim"),
+        pytest.param({"generator": {"formula": "cobb_douglas_mix"}},
+                     {"generator": {"formula": "cobb_douglas_mix", "params": {"mix": 0.1}}}, id="params_mix"),
+    ])
+    def test_spelled_out_defaults_run_alike(self, short, spelled):
+        # a section (or params) left out runs exactly as one with every default written
+        base = {"space": GRID3_DOC, "generator": {"formula": "sum"}, "k_grid": [1, 4, 36]}
+        reports = [run_convergence(ExperimentConfig.from_dict({**base, **change})) for change in (short, spelled)]
+        rows = [[dataclasses.replace(row, wall_time_ms=0.0) for row in rep.rows] for rep in reports]
+        assert rows[0] == rows[1]
+        meta = [{key: value for key, value in rep.metadata.items() if key != "config_hash"} for rep in reports]
+        assert meta[0] == meta[1]
 
     def test_policy_target_must_be_resolved(self):
         cfg = ExperimentConfig.from_dict(
@@ -489,6 +524,13 @@ class TestCli:
         pytest.param({"generator": {"formula": "cobb_douglas_mix", "params": {"mix": "x"}}}, id="mix_not_number"),
         pytest.param({"generator": {"formula": "linear_index", "params": {"index": ["a", 1]}}},
                      id="index_not_numbers"),
+        # a misspelled key is refused wherever it is, not run at its section's default
+        pytest.param({"schedule": {"ordr": "shuffled"}}, id="schedule_misspelled"),
+        pytest.param({"policy": {"tagg": "eu_class"}}, id="policy_misspelled"),
+        pytest.param({"subset": {"strid": 2}}, id="subset_misspelled"),
+        pytest.param({"diameter": {"num_sample": 5}}, id="diameter_misspelled"),
+        pytest.param({"generator": {"formula": "sum", "parms": {}}}, id="generator_misspelled"),
+        pytest.param({"generator": {"formula": "coordinate", "params": {"dimm": 1}}}, id="params_misspelled"),
         *[pytest.param({"space": bad.values[0]}, id=bad.id) for bad in BAD_DESCRIPTORS],
     ])
     def test_run_malformed_config_exits_2(self, tmp_path, capsys, change):
@@ -540,6 +582,33 @@ class TestCli:
         stdout = capsys.readouterr().out
         assert "[pass]" in stdout
         assert (tmp_path / "motivating_01.csv").exists()
+
+
+README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def test_readme_config_runs():
+    # the README's config parses and runs, so its example cannot drift from the schema
+    block = re.search(r"A config is one JSON object:\n\n```json\n(.*?)```", README, re.S).group(1)
+    report = run_convergence(ExperimentConfig.from_dict(dict(json.loads(block), k_grid=[1, 8])))
+    assert [row.k for row in report.rows] == [1, 8] and all(row.consistent for row in report.rows)
+
+
+def test_readme_key_table_matches_schema():
+    # the README's key table lists exactly the keys the schema accepts, each with the schema's default;
+    # a default cell that is not JSON stands for a default the schema leaves to the run (None)
+    cells = dict(re.findall(r"^\| `([\w.]+)` \| (.+?) \|", README, re.M))
+    schema = {f"{section}.{key}": default for section, (defaults, _, _) in prefid.harness._SECTIONS.items()
+              for key, default in defaults.items()}
+    schema.update({f"generator.params.{key}": default for _, defaults, _ in prefid.harness.FORMULAS.values()
+                   for key, default in defaults.items()})
+    assert {key for key in cells if "." in key} == set(schema) | {"generator.formula"}
+    assert {key.split(".")[0] for key in cells} == prefid.harness._CONFIG_KEYS
+    for key, default in schema.items():
+        try:
+            assert json.loads(cells[key].strip("`")) == json.loads(json.dumps(default)), key
+        except json.JSONDecodeError:
+            assert default is None, key
 
 
 def _nested_ints(depth: int):
@@ -659,18 +728,44 @@ def _names(*names):
     return st.sampled_from([*names, "mystery", ["x"], 5])
 
 
-FUZZED_RUN_CONFIGS = st.fixed_dictionaries(
+_PARAMS = {
+    "dim": st.one_of(_SMALL_INTS, _ODD_NUMBERS),
+    "mix": _ODD_NUMBERS,
+    "index": st.one_of(st.lists(st.sampled_from([1.0, -1.0, 0.5, -0.5]), min_size=2, max_size=2),
+                       st.lists(_ODD_NUMBERS, max_size=3)),
+}
+
+
+def _params_of(name) -> dict:
+    """Strategies for the params a formula takes, or for every param when `name` is not a formula."""
+    if isinstance(name, str) and name in prefid.harness.FORMULAS:
+        return {key: _PARAMS[key] for key in prefid.harness.FORMULAS[name][1]}
+    return _PARAMS
+
+
+# (section, key): a misspelled key that `_with_typo` adds to that section, or to the generator's params
+_TYPOS = [("schedule", "ordr"), ("policy", "tagg"), ("subset", "strid"), ("diameter", "num_sample"),
+          ("generator", "formla"), ("params", "dimm")]
+
+
+def _with_typo(doc: dict, typo) -> dict:
+    """`doc` with the misspelled key of `typo` added (its section made when absent), or `doc` when typo is None."""
+    if typo is None:
+        return doc
+    section, key = typo
+    if section == "params":
+        generator = doc["generator"]
+        return dict(doc, generator=dict(generator, params={**generator.get("params", {}), key: 1}))
+    return dict(doc, **{section: {**(doc.get(section) or {}), key: 1}})
+
+
+_RUN_CONFIGS = st.fixed_dictionaries(
     {
         "space": st.sampled_from(_RUN_SPACES),
-        "generator": st.fixed_dictionaries(
-            {"formula": _names(*sorted(prefid.harness.FORMULAS))},
-            optional={"params": st.fixed_dictionaries({}, optional={
-                "dim": st.one_of(_SMALL_INTS, _ODD_NUMBERS),
-                "mix": _ODD_NUMBERS,
-                "index": st.one_of(st.lists(st.sampled_from([1.0, -1.0, 0.5, -0.5]), min_size=2, max_size=2),
-                                   st.lists(_ODD_NUMBERS, max_size=3)),
-            })},
-        ),
+        "generator": _names(*sorted(prefid.harness.FORMULAS)).flatmap(lambda name: st.fixed_dictionaries(
+            {"formula": st.just(name)},
+            optional={"params": st.fixed_dictionaries({}, optional=_params_of(name))},
+        )),
         "mode": _names("strong", "weak"),
     },
     optional={
@@ -698,6 +793,8 @@ FUZZED_RUN_CONFIGS = st.fixed_dictionaries(
         "utility_distance": st.booleans(),
     },
 )
+# about one draw in five carries a misspelled key (hypothesis favours the leading Nones)
+FUZZED_RUN_CONFIGS = st.builds(_with_typo, _RUN_CONFIGS, st.sampled_from([None] * len(_TYPOS) + _TYPOS))
 
 
 @settings(max_examples=500, deadline=None)
