@@ -218,7 +218,10 @@ def _least_radius(space: OrderedSpace, covered) -> float:
     return float(radii[lo])
 
 
-def _graph_diameter(space: OrderedSpace, stack: np.ndarray) -> float:
+_GRAPH_CHUNK = 2048  # graphs per `_dilate` product in `_graph_diameter`: bounds its working memory
+
+
+def _graph_diameter(space: OrderedSpace, stack: np.ndarray, as_graphs: bool = False) -> float:
     """Largest Hausdorff distance between two graphs of a (K, n, n) boolean stack or (K, n) rank rows.
 
     Two graphs are within r of each other when each lies in the other's
@@ -226,13 +229,19 @@ def _graph_diameter(space: OrderedSpace, stack: np.ndarray) -> float:
     which every graph's dilation covers the union of the stack. Distances
     take only the values in `space.distance_values`, so a binary search over
     them finds it exactly: the diameter of X always covers. Rank rows test
-    coverage on their envelopes in O(K n^2); boolean graphs by `_dilate`'s
-    O(n^3) product, which the exact diameter keeps: its thousands of
-    candidates live on at most 8 points.
+    coverage on their envelopes in O(K n^2), one Python pass per row; rank
+    rows `as_graphs` are tested as a boolean stack is, by `_dilate`'s O(n^3)
+    product. The exact diameter passes its rows so: it measures up to
+    hundreds of thousands of candidates, on at most 8 points. Graphs are
+    built and dilated `_GRAPH_CHUNK` at a time, so the working memory does
+    not grow with K.
     """
-    if stack.ndim == 3:
-        union = stack.any(axis=0)
-        return _least_radius(space, lambda radius: not (union & ~_dilate(space, radius, stack)).any())
+    if stack.ndim == 3 or as_graphs:
+        build = (lambda rows: rows[:, :, None] >= rows[:, None, :]) if stack.ndim == 2 else (lambda chunk: chunk)
+        chunks = [stack[start:start + _GRAPH_CHUNK] for start in range(0, len(stack), _GRAPH_CHUNK)]
+        union = reduce(np.logical_or, (build(chunk).any(axis=0) for chunk in chunks))
+        return _least_radius(space, lambda radius: not any(
+            (union & ~_dilate(space, radius, build(chunk))).any() for chunk in chunks))
     union = reduce(np.logical_or, (row[:, None] >= row[None, :] for row in stack))
     return _least_radius(space, lambda radius: not any(
         (union & (hi[:, None] < lo[None, :])).any() for hi, lo in zip(*_envelopes(space, radius, stack))))

@@ -8,6 +8,7 @@ replays data by hand, so it shares no code with the library paths.
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,11 +33,13 @@ from prefid import (
     make_lottery_simplex,
     restrict,
 )
+import prefid.preferences as preferences_module
 import prefid.rationalize as rationalize_module
 from prefid.preferences import closed_convergence_distance
 from prefid.rationalize import (
     _max_height,
     _min_height,
+    DiameterResult,
     RationalizationPolicy,
     adversarial_far_extension,
     all_total_preorders,
@@ -663,6 +666,32 @@ class TestEnumeration:
         with pytest.raises(CapacityError):
             all_total_preorders(8)
 
+    def test_no_points_have_one_empty_preorder(self):
+        rows = all_total_preorders(0)
+        assert rows.shape == (ordered_bell(0), 0) == (1, 0)
+
+    @pytest.mark.parametrize("n", [-1, -8, 2.0, 2.5, "3", None])
+    def test_bad_sizes_rejected(self, n):
+        with pytest.raises(DomainError):
+            all_total_preorders(n)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_table_is_naive_enumeration_in_order(self, n):
+        assert rationalize_module._preorder_table(n).tolist() == [list(row) for row in naive_preorders(n)]
+
+    def test_table_is_read_only(self):
+        table = rationalize_module._preorder_table(5)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_writing_a_returned_array_leaves_later_results_alone(self):
+        first = all_total_preorders(4)
+        first[:] = 0
+        again = all_total_preorders(4)
+        assert again.flags.writeable
+        assert {tuple(int(v) for v in row) for row in again} == set(naive_preorders(4))
+
     def test_brute_force_filter(self):
         tri = from_points(np.array([0.0, 0.4, 1.0]).reshape(-1, 1))
         e, c = dataset(tri, [(0, 2, (2,))], "weak")
@@ -739,6 +768,43 @@ class TestDiameter:
         assert res.method == "exact"
         assert res.value == 0.0
         assert res.num_candidates == 1
+
+    def test_repeated_exact_diameters_enumerate_once(self, line5):
+        # every exact diameter on one space size filters one held table, built on first use
+        rationalize_module._preorder_table.cache_clear()
+        for rows in ([(0, 3, (3,))], [(1, 2, (1, 2)), (4, 0, (4,))], [(2, 3, (2,))]):
+            assert diameter_estimate(*dataset(line5, rows, "strong")).method == "exact"
+        assert rationalize_module._preorder_table.cache_info().misses == 1
+        assert rationalize_module._preorder_table.cache_info().hits == 2
+
+    def test_exact_inconsistent_data_keeps_its_witness(self, line5):
+        e, c = dataset(line5, [(0, 1, (0,)), (1, 2, (1,)), (2, 0, (2,))], "strong")
+        with pytest.raises(PreconditionError, match=r"witness cycle \(0, 1, 2, 0\)"):
+            diameter_estimate(e, c)
+
+    def test_blocked_passes_match_one_pass(self, chain6, monkeypatch):
+        # the 4,683 preorders replayed 2 at a time and 919 candidates dilated 7 at a time, against one pass each
+        e, c = dataset(chain6, [(0, 1, (1,)), (2, 3, (3,))], "strong")
+        monkeypatch.setattr(rationalize_module, "_REPLAY_CELLS", 5)
+        monkeypatch.setattr(preferences_module, "_GRAPH_CHUNK", 7)
+        blocked = diameter_estimate(e, c, "all")
+        monkeypatch.setattr(rationalize_module, "_REPLAY_CELLS", 10**9)
+        monkeypatch.setattr(preferences_module, "_GRAPH_CHUNK", 10**6)
+        assert blocked == diameter_estimate(e, c, "all") == DiameterResult(3.0, "exact", 919)
+
+    def test_exact_working_memory_does_not_grow_with_candidates(self):
+        # the 8-point chain with one pair keeps 249,271 candidates; measuring them all at once took 148 MB
+        s8 = from_points(np.arange(8.0).reshape(-1, 1))
+        e, c = dataset(s8, [(0, 7, (7,))], "strong")
+        rationalize_module._preorder_table(8)  # the held table is not working memory
+        tracemalloc.start()
+        try:
+            res = diameter_estimate(e, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.value, res.method, res.num_candidates) == (3.0, "exact", 249271)
+        assert peak < 16e6
 
     def test_sampled_value_is_largest_pairwise_oracle_distance(self, grid3, monkeypatch):
         # a 9-point grid takes the sampled branch; capture the candidate rank rows it measures
