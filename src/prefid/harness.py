@@ -48,6 +48,7 @@ from .rationalize import (
     RationalizationPolicy,
     _diameter_monotone,
     _relation_diameter,
+    _replay_mask,
     check_consistency,
     diameter_estimate,
     extend_preference,
@@ -302,7 +303,8 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     `consistent` false and no numeric columns, and the run continues:
     either the prefix is inconsistent (possible under a mismatched policy),
     or, under eu_class, no linear prize index rationalizes it. An extension
-    that fails its own replay still raises DomainError.
+    that fails its own replay, of the data edges of the checkpoint's
+    relation, still raises DomainError.
     """
     space = space_from_descriptor(config.space)
     B = dense_subset(space, **config.subset)
@@ -321,7 +323,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     needs = {policy.monotone}
     dcfg = config.diameter
     if dcfg is not None:
-        dmonotone = _diameter_monotone(dcfg["policy_class"], dcfg["num_samples"])
+        dmonotone = _diameter_monotone(dcfg["policy_class"], dcfg["num_samples"], dcfg["seed"])
         needs.add(dmonotone)
     if needs & {"weak", "strict"} and not is_weakly_monotone(gen):
         raise ConfigurationError("generator is not weakly monotone but the policy or diameter requires it")
@@ -343,7 +345,6 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     rows = []
     for k in ks:
         t0 = time.perf_counter()
-        e_k, c_k = restrict(e, c, k)
         relations = {monotone: relation.prefix(k) for monotone, relation in full.items()}
         r = relations[policy.monotone]
         try:
@@ -352,12 +353,12 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
             ms = (time.perf_counter() - t0) * 1000.0
             rows.append(ReportRow(k, None, None, None, False, ms))
             continue
-        if not rationalizes(pref, e_k, c_k):
+        if not _replay_mask(pref.rank[None, :], r)[0]:
             raise DomainError(f"extension failed its own replay at k={k}")
         delta = distance_to_gen(pref)
         diam = None
         if dcfg is not None:
-            diam = _relation_diameter(relations[dmonotone], e_k, c_k, dcfg["policy_class"], dcfg["num_samples"],
+            diam = _relation_diameter(relations[dmonotone], dcfg["policy_class"], dcfg["num_samples"],
                                       dcfg["seed"]).value
         udist = None
         if u_star is not None:

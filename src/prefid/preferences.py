@@ -152,7 +152,10 @@ def is_locally_strict(p: Preference, radius: float):
     Returns (ok, violating (i, j) pairs). Neighborhoods are closed
     max-metric balls around each side of the pair. The radius-dilation of
     p's strict part is exactly {(i, j) : hi[i] > lo[j]} (`_envelopes`).
+    Raises DomainError for a negative or non-finite radius.
     """
+    if not (np.isfinite(radius) and radius >= 0):
+        raise DomainError(f"radius must be finite and at least 0, got {radius}")
     (hi,), (lo,) = _envelopes(p.space, radius, p.rank[None, :])
     bad = p.graph & (hi[:, None] <= lo[None, :])
     ii, jj = np.nonzero(bad)

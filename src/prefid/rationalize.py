@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError, ConfigurationError, DomainError, PreconditionError, ResolutionError
 from .experiments import STRONG, WEAK, ChoiceSequence, ExperimentSequence
-from .preferences import Preference, _distance_to, _graph_diameter, from_utility
+from .preferences import Preference, _distance_to, _graph_diameter, from_utility, same_space
 from .spaces import OrderedSpace
 
 __all__ = [
@@ -706,9 +706,13 @@ def rationalizes(p: Preference, e: ExperimentSequence, c: ChoiceSequence) -> boo
     """Replay the data against a preference's optimal sets.
 
     Weak mode asks that every observed choice be optimal; strong mode asks
-    that the observed set equal the optimal set.
+    that the observed set equal the optimal set: p must hold every edge of
+    the data's revealed relation, strictly where the edge is strict.
+    Raises DomainError when p lives on another space than the data.
     """
-    return bool(_replay_mask(p.rank[None, :], e, c)[0])
+    if not same_space(p.space, e.space):
+        raise DomainError("the preference and the data live on different spaces")
+    return bool(_replay_mask(p.rank[None, :], revealed_relation(e, c, c.mode))[0])
 
 
 @cache
@@ -747,33 +751,31 @@ def all_total_preorders(n: int) -> np.ndarray:
     return _preorder_table(n).copy()
 
 
-_REPLAY_CELLS = 1 << 20  # (row, pair) cells `_replay_mask` compares at once: bounds its working memory
+_REPLAY_CELLS = 1 << 20  # (row, edge) cells `_replay_mask` compares at once: bounds its working memory
 
 
-def _replay_mask(ranks: np.ndarray, e: ExperimentSequence, c: ChoiceSequence) -> np.ndarray:
-    """Boolean row filter: which rank rows rationalize the data.
+def _replay_mask(ranks: np.ndarray, r: RevealedRelation) -> np.ndarray:
+    """Boolean row filter: which signed rank rows hold every data edge of r.
 
-    A chosen element must be at least as good as its opponent; in strong
-    mode an element left out must not be. The rows are replayed in blocks of
-    about `_REPLAY_CELLS` (row, pair) cells, whatever the number of rows.
+    A row holds edge (x, y) when rank[x] - rank[y] >= 1 if the edge is
+    strict, else >= 0. Monotonicity edges are not data and are not replayed.
+    The rows are replayed in blocks of about `_REPLAY_CELLS` (row, edge)
+    cells, whatever the number of rows.
     """
-    pairs, chose = c.arrays_over(e)
-    step = max(1, _REPLAY_CELLS // max(1, len(pairs)))
+    data = r.data_edges()
+    x, y, strict = r.x[data], r.y[data], r.strict[data]
+    step = max(1, _REPLAY_CELLS // max(1, len(x)))
     mask = np.empty(len(ranks), dtype=bool)
     for start in range(0, len(ranks), step):
-        rank_x, rank_y = ranks[start:start + step, pairs[:, 0]], ranks[start:start + step, pairs[:, 1]]
-        if c.mode == STRONG:
-            ok = ((rank_x >= rank_y) == chose[:, 0]) & ((rank_y >= rank_x) == chose[:, 1])
-        else:
-            ok = ((rank_x >= rank_y) | ~chose[:, 0]) & ((rank_y >= rank_x) | ~chose[:, 1])
-        mask[start:start + step] = ok.all(axis=1)
+        block = ranks[start:start + step]
+        mask[start:start + step] = (block[:, x] - block[:, y] >= strict).all(axis=1)
     return mask
 
 
 def brute_force_rationalizations(e: ExperimentSequence, c: ChoiceSequence) -> np.ndarray:
     """Rank rows of every rationalizing total preorder (spaces up to 7 points)."""
     ranks = all_total_preorders(e.space.num_points)
-    return ranks[_replay_mask(ranks, e, c)]
+    return ranks[_replay_mask(ranks, revealed_relation(e, c, c.mode))]
 
 
 @dataclass(frozen=True)
@@ -807,35 +809,37 @@ def diameter_estimate(
     n points, which each process builds once per n on first use and holds
     (at most about 4.8 MB, nearly all of it the 545,835 rows of n = 8).
     Otherwise it is a sampled lower bound over the two extremal height
-    assignments and seeded random extensions, num_samples draws in all.
-    Raises ConfigurationError for a negative num_samples or an unknown
-    policy class, and PreconditionError for inconsistent data.
+    assignments and seeded random extensions, num_samples draws in all; a
+    num_samples below 2 still draws the two extremal extensions.
+    Raises ConfigurationError for a negative num_samples or seed or an
+    unknown policy class, and PreconditionError for inconsistent data.
     """
-    r = revealed_relation(e, c, c.mode, monotone=_diameter_monotone(policy_class, num_samples))
-    return _relation_diameter(r, e, c, policy_class, num_samples, seed)
+    r = revealed_relation(e, c, c.mode, monotone=_diameter_monotone(policy_class, num_samples, seed))
+    return _relation_diameter(r, policy_class, num_samples, seed)
 
 
-def _diameter_monotone(policy_class: str, num_samples: int) -> str:
-    """The monotone edges a diameter policy class injects; ConfigurationError for a bad class or sample count."""
+def _diameter_monotone(policy_class: str, num_samples: int, seed: int) -> str:
+    """The monotone edges a diameter policy class injects; ConfigurationError for a bad class, sample count or seed."""
     if not isinstance(policy_class, str) or policy_class not in _POLICY_CLASSES:
         raise ConfigurationError(f"unknown policy class {policy_class!r}")
     if num_samples < 0:
         raise ConfigurationError(f"num_samples must be at least 0, got {num_samples}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be at least 0, got {seed}")
     return _POLICY_CLASSES[policy_class]
 
 
-def _relation_diameter(r: RevealedRelation, e: ExperimentSequence, c: ChoiceSequence, policy_class: str,
-                       num_samples: int, seed: int) -> DiameterResult:
-    """`diameter_estimate` of the data (e, c), given their revealed relation r under the class's monotone edges.
+def _relation_diameter(r: RevealedRelation, policy_class: str, num_samples: int, seed: int) -> DiameterResult:
+    """`diameter_estimate` of the data whose revealed relation, under the class's monotone edges, is r.
 
     The exact branch keeps the table's rows, already distinct and sorted, and checks consistency only when
     none replays: consistent data always keeps its canonical extension.
     """
-    space = e.space
+    space = r.space
     n = space.num_points
     if policy_class == "all" and n <= 8:
         table = _preorder_table(n)
-        ranks = table[_replay_mask(table, e, c)]
+        ranks = table[_replay_mask(table, r)]
         if not len(ranks):
             _require_consistent(r)
         return DiameterResult(_graph_diameter(space, ranks, as_graphs=True), "exact", len(ranks))

@@ -378,7 +378,7 @@ def test_criterion_8_oracle_equivalence():
 
                     r = revealed_relation(e, c, mode)
                     consistent = check_consistency(r).consistent
-                    lib_mask = _replay_mask(R, e, c)
+                    lib_mask = _replay_mask(R, r)
                     assert consistent == bool(test_mask.any()) == bool(lib_mask.any())
                     assert np.array_equal(test_mask, lib_mask)
 

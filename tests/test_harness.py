@@ -453,6 +453,8 @@ class TestCli:
         pytest.param(["check"], None, CSV_HEADER + "abc,0,1,0,1\n", id="k_not_integer"),
         pytest.param(["check"], None, CSV_HEADER + "1,0,1\n", id="short_row"),
         pytest.param(["diameter", "--samples", "-1"], None, CSV_HEADER + "1,0,1,0,1\n", id="negative_samples"),
+        pytest.param(["diameter", "--policy-class", "weak_monotone", "--seed", "-1"], None, CSV_HEADER + "1,0,1,0,1\n",
+                     id="negative_seed"),
         *[pytest.param([command], None, CSV_HEADER + row, id=f"{command}_{name}")
           for command in ("check", "diameter")
           for name, row in (("negative_index", "1,-1,0,1,0\n"), ("index_past_end", "1,0,5,1,0\n"),

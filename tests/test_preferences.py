@@ -248,6 +248,15 @@ class TestLocalStrictness:
         assert not ok
         assert len(bad) == 36
 
+    @pytest.mark.parametrize("radius", [-1.0, -1e-13, float("nan"), float("inf")])
+    def test_negative_or_nonfinite_radius_rejected(self, chain6, radius):
+        # an empty ball must not read as the whole space; radius 0 stays valid and fails on the diagonal
+        p = from_utility(chain6, chain6.points[:, 0])
+        with pytest.raises(DomainError):
+            is_locally_strict(p, radius)
+        ok, bad = is_locally_strict(p, 0.0)
+        assert not ok and (0, 0) in bad
+
 
 class TestQuasitransitivity:
     def test_preference_is_quasitransitive(self, line5):

@@ -82,6 +82,24 @@ def naive_replay(row, e, c):
     return True
 
 
+def draw_tiled_data(data, max_line):
+    """Hypothesis-drawn choices on a line of at most max_line points or a 2x2 grid, plus a monotone class.
+
+    The schedule may run twice, so comparisons are revealed again; the picks are free, so they may contradict.
+    """
+    dims = data.draw(st.integers(1, 2))
+    g = make_grid_euclidean(dims, data.draw(st.integers(2, max_line if dims == 1 else 2)), (0.0, 1.0))
+    mode = data.draw(st.sampled_from(["strong", "weak"]))
+    monotone = data.draw(st.sampled_from(["none", "weak", "strict"]))
+    members = data.draw(st.lists(st.integers(0, g.num_points - 1), min_size=2, max_size=g.num_points, unique=True))
+    order = data.draw(st.sampled_from(["diagonal", "shuffled"]))
+    schedule = enumerate_pairs(dense_subset(g, members=sorted(members)), order, data.draw(st.integers(0, 99)))
+    e = ExperimentSequence(g, schedule.B, np.tile(schedule.pair_array, (data.draw(st.integers(1, 2)), 1)))
+    options = [(True, False), (False, True)] + ([(True, True)] if mode == "strong" else [])
+    picks = data.draw(st.lists(st.sampled_from(options), min_size=len(e), max_size=len(e)))
+    return e, ChoiceSequence(e, np.array(picks, dtype=bool), mode), monotone
+
+
 def ordered_bell(n):
     # a(n) = sum_k C(n, k) a(n - k)
     a = [1]
@@ -285,6 +303,17 @@ class TestCanonicalExtension:
         with pytest.raises(PreconditionError):
             extend_preference(revealed_relation(e, c, "strong"), RationalizationPolicy())
 
+    @pytest.mark.parametrize("points", [5, 16, 20], ids=["smaller", "equal_size", "larger"])
+    def test_preference_on_another_space_rejected(self, points):
+        # 4x4 grid data replayed against a line: a smaller one must not index past its end,
+        # an equal or larger one must not give a verdict
+        g = make_grid_euclidean(2, 4, (0.0, 1.0))
+        e = enumerate_pairs(dense_subset(g))
+        c = generate_choices(from_utility(g, g.points.sum(axis=1)), e, mode="strong")
+        line = make_grid_euclidean(1, points, (0.0, 1.0))
+        with pytest.raises(DomainError):
+            rationalizes(from_utility(line, np.arange(points, dtype=float)), e, c)
+
 
 class TestRankingKernel:
     @settings(max_examples=80, deadline=None)
@@ -346,25 +375,25 @@ class TestRelationPrefix:
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_prefix_matches_fresh_relation(self, data):
-        dims = data.draw(st.integers(1, 2))
-        g = make_grid_euclidean(dims, data.draw(st.integers(2, 8 if dims == 1 else 2)), (0.0, 1.0))
-        mode = data.draw(st.sampled_from(["strong", "weak"]))
-        monotone = data.draw(st.sampled_from(["none", "weak", "strict"]))
-        members = data.draw(st.lists(st.integers(0, g.num_points - 1), min_size=2, max_size=g.num_points, unique=True))
-        order = data.draw(st.sampled_from(["diagonal", "shuffled"]))
-        schedule = enumerate_pairs(dense_subset(g, members=sorted(members)), order, data.draw(st.integers(0, 99)))
-        # a second pass over the schedule reveals comparisons again, which keep their first pair
-        e = ExperimentSequence(g, schedule.B, np.tile(schedule.pair_array, (data.draw(st.integers(1, 2)), 1)))
-        options = [(True, False), (False, True)] + ([(True, True)] if mode == "strong" else [])
-        picks = data.draw(st.lists(st.sampled_from(options), min_size=len(e), max_size=len(e)))
-        c = ChoiceSequence(e, np.array(picks, dtype=bool), mode)
-        r = revealed_relation(e, c, mode, monotone=monotone)
+        e, c, monotone = draw_tiled_data(data, 8)
+        r = revealed_relation(e, c, c.mode, monotone=monotone)
         assert r.prefix(len(e)) is r
         k = data.draw(st.integers(1, len(e)))
-        got, fresh = r.prefix(k), revealed_relation(*restrict(e, c, k), mode, monotone=monotone)
+        got, fresh = r.prefix(k), revealed_relation(*restrict(e, c, k), c.mode, monotone=monotone)
         for name in ("x", "y", "strict", "pair_index"):
             assert getattr(got, name).dtype == getattr(fresh, name).dtype, name
             assert np.array_equal(getattr(got, name), getattr(fresh, name)), name
+
+
+class TestEdgeReplay:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_edge_replay_matches_naive_replay(self, data):
+        # repeated pairs, picks that may contradict each other, and monotone edges, which are not replayed
+        e, c, monotone = draw_tiled_data(data, 6)
+        table = rationalize_module._preorder_table(e.space.num_points)
+        got = rationalize_module._replay_mask(table, revealed_relation(e, c, c.mode, monotone=monotone))
+        assert got.tolist() == [naive_replay(row.tolist(), e, c) for row in table]
 
 
 class TestSampleExtension:
@@ -850,6 +879,13 @@ class TestDiameter:
         e, c = dataset(line5, [(0, 1, (0,))], "strong")
         with pytest.raises(ConfigurationError):
             diameter_estimate(e, c, "convex")
+
+    @pytest.mark.parametrize("policy_class", ["all", "weak_monotone", "strict_monotone"])
+    def test_negative_seed_rejected(self, line5, policy_class):
+        # the exact branch draws nothing, but a seed is checked for every class
+        e, c = dataset(line5, [(0, 1, (1,))], "strong")
+        with pytest.raises(ConfigurationError):
+            diameter_estimate(e, c, policy_class, seed=-1)
 
     def test_float_conversion(self, line5):
         e, c = dataset(line5, [(0, 1, (0,))], "strong")
