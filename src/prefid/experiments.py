@@ -215,9 +215,12 @@ def choices_to_csv(c: ChoiceSequence) -> str:
 
 def _int_row(row: dict, line: int) -> tuple[int, ...]:
     try:
-        return tuple(int(row[name]) for name in _CSV_COLUMNS)
+        values = tuple(int(row[name]) for name in _CSV_COLUMNS)
     except (TypeError, ValueError):
         raise DomainError(f"choice CSV line {line} needs an integer in every column") from None
+    if not set(values[3:]) <= {0, 1}:
+        raise DomainError(f"choice CSV line {line} needs chose_x and chose_y to be 0 or 1")
+    return values
 
 
 def choices_from_csv(text: str, space: OrderedSpace, mode: str) -> tuple[ExperimentSequence, ChoiceSequence]:
@@ -225,7 +228,8 @@ def choices_from_csv(text: str, space: OrderedSpace, mode: str) -> tuple[Experim
 
     The subset B is taken to be the set of point indices that appear. Both
     sequences are checked here, as on their first read; missing columns, a
-    non-integer cell or no rows raise DomainError too.
+    non-integer cell, a chose_x or chose_y flag other than 0 or 1, or no
+    rows raise DomainError too.
     """
     reader = csv.DictReader(io.StringIO(text))
     required = set(_CSV_COLUMNS)

@@ -1,13 +1,13 @@
 """Discretized ordered metric spaces.
 
-Every space is a finite list of coordinate vectors with a partial order,
-a configured strict-dominance order, the max-coordinate metric, and an
-optional totally ordered reference chain used for certainty equivalents.
+Every space is a finite list of coordinate vectors with order keys, from
+which one rule derives its partial order and strict-dominance order, the
+max-coordinate metric, and an optional totally ordered reference chain
+used for certainty equivalents.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -28,7 +28,7 @@ __all__ = [
     "make_aa_acts",
     "from_points",
     "dense_subset",
-    "check_countable_order_property",
+    "order_bracketing_radius",
     "space_from_descriptor",
 ]
 
@@ -50,30 +50,44 @@ class OrderedSpace:
         kind: one of euclidean_grid | lottery_simplex | dated_rewards |
             aa_acts | euclidean_points.
         points: (n, d) float array, one coordinate vector per alternative.
-        weak_order: (n, n) bool, entry [i, j] true iff point i >= point j
-            in the space's partial order.
-        strict_order: (n, n) bool, the configured strict-dominance order
-            (coordinatewise >> on euclidean grids, the strict part of the
-            partial order elsewhere).
+        order_keys: (n, m) array of the coordinates the order compares:
+            point i >= point j iff order_keys[i] >= order_keys[j] in every
+            coordinate. The points themselves on euclidean grids and point
+            lists, (money, -time) on dated rewards, and integer cumulative
+            prize counts, best prize first (per state on acts), on lotteries
+            and acts.
         chain: ascending tuple of point indices forming the reference
             chain, empty when the space has none.
         step: scalar grid resolution, the tolerance unit for convergence
             statements about this space.
         descriptor: construction parameters, enough to rebuild the space.
+
+    Derived from these and cached on first read: `weak_order` and
+    `strict_order` from the keys, `distance_matrix` and `distance_values`
+    from the points.
     """
 
     kind: str
     points: np.ndarray
-    weak_order: np.ndarray
-    strict_order: np.ndarray
+    order_keys: np.ndarray
     chain: tuple[int, ...]
     step: float
     descriptor: dict = field(repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "points", _frozen(np.asarray(self.points, dtype=float)))
-        object.__setattr__(self, "weak_order", _frozen(np.asarray(self.weak_order, dtype=bool)))
-        object.__setattr__(self, "strict_order", _frozen(np.asarray(self.strict_order, dtype=bool)))
+        object.__setattr__(self, "order_keys", _frozen(np.asarray(self.order_keys)))
+        chain = tuple(_int_field("a reference chain entry", i, minimum=0) for i in self.chain)
+        object.__setattr__(self, "chain", chain)
+        if not chain:
+            return
+        # at least two points in range, strictly increasing, bounding the whole space
+        if len(chain) < 2 or max(chain) >= self.num_points:
+            raise ConfigurationError(f"reference chain needs at least 2 point indices below {self.num_points}")
+        if not self.strict_order[chain[1:], chain[:-1]].all():
+            raise ConfigurationError("reference chain is not strictly increasing")
+        if not self.weak_order[chain[-1], :].all() or not self.weak_order[:, chain[0]].all():
+            raise ConfigurationError("reference chain does not bound the space")
 
     @property
     def num_points(self) -> int:
@@ -81,6 +95,19 @@ class OrderedSpace:
 
     def __len__(self) -> int:
         return self.num_points
+
+    @cached_property
+    def weak_order(self) -> np.ndarray:
+        """(n, n) bool, entry [i, j] true iff point i >= point j: order_keys[i] >= order_keys[j] everywhere."""
+        return _frozen(_coordinatewise(self.order_keys, np.greater_equal, np.logical_and))
+
+    @cached_property
+    def strict_order(self) -> np.ndarray:
+        """(n, n) bool, the configured strict-dominance order: coordinatewise >> on the keys of
+        euclidean grids and point lists, the strict part of the weak order elsewhere."""
+        if self.kind in ("euclidean_grid", "euclidean_points"):
+            return _frozen(_coordinatewise(self.order_keys, np.greater, np.logical_and))
+        return _frozen(self.weak_order & ~self.weak_order.T)
 
     @cached_property
     def distance_matrix(self) -> np.ndarray:
@@ -110,19 +137,6 @@ class DenseSubset:
     covering_radius: float
 
 
-def _validate_chain(points: np.ndarray, weak: np.ndarray, strict: np.ndarray, chain: Sequence[int]) -> None:
-    # ascending, strictly ordered, and bounding the whole space
-    chain = list(chain)
-    if len(chain) < 2:
-        raise ConfigurationError("reference chain needs at least 2 elements")
-    for lo, hi in zip(chain, chain[1:]):
-        if not strict[hi, lo]:
-            raise ConfigurationError("reference chain is not strictly increasing")
-    top, bottom = chain[-1], chain[0]
-    if not weak[top, :].all() or not weak[:, bottom].all():
-        raise ConfigurationError("reference chain does not bound the space")
-
-
 def _check_budget(kind: str, num_points: int) -> None:
     """CapacityError unless the space fits the point budget; every builder
     calls this before its first (n, n) allocation."""
@@ -144,6 +158,11 @@ def _gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(gap, out=gap)
 
 
+def _product(*axes: np.ndarray) -> np.ndarray:
+    """Rows of the Cartesian product of the axes, last axis fastest (itertools.product order)."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
 def make_grid_euclidean(dims: int, resolution: int, bounds) -> OrderedSpace:
     """Regular lattice on a box, ordered coordinatewise.
 
@@ -159,18 +178,13 @@ def make_grid_euclidean(dims: int, resolution: int, bounds) -> OrderedSpace:
     if bounds.shape != (dims, 2) or not (bounds[:, 1] > bounds[:, 0]).all():
         raise ConfigurationError("bounds must be nondegenerate intervals, one per dim")
     _check_budget("euclidean_grid", resolution**dims)
-    axes = [np.linspace(bounds[i, 0], bounds[i, 1], resolution) for i in range(dims)]
-    levels = list(itertools.product(range(resolution), repeat=dims))
-    points = np.array([[axes[i][lv[i]] for i in range(dims)] for lv in levels])
-    weak = _coordinatewise(points, np.greater_equal, np.logical_and)
-    strict = _coordinatewise(points, np.greater, np.logical_and)
+    points = _product(*(np.linspace(lo, hi, resolution) for lo, hi in bounds))
     # equal-coordinates diagonal: level (l, ..., l) for each l
     ratio = (resolution**dims - 1) // (resolution - 1)
     chain = tuple(l * ratio for l in range(resolution))
     step = float((bounds[:, 1] - bounds[:, 0]).max() / (resolution - 1))
     desc = {"kind": "euclidean_grid", "dims": dims, "resolution": resolution, "bounds": bounds.tolist()}
-    _validate_chain(points, weak, strict, chain)
-    return OrderedSpace("euclidean_grid", points, weak, strict, chain, step, desc)
+    return OrderedSpace("euclidean_grid", points, points, chain, step, desc)
 
 
 def _compositions(total: int, parts: int):
@@ -195,20 +209,10 @@ def make_lottery_simplex(num_prizes: int, resolution: int) -> OrderedSpace:
         raise ConfigurationError("need resolution >= 1")
     _check_budget("lottery_simplex", math.comb(resolution + num_prizes - 1, num_prizes - 1))
     counts = np.array(list(_compositions(resolution, num_prizes)), dtype=int)
-    points = counts / resolution
-    weak = _coordinatewise(np.cumsum(counts, axis=1), np.greater_equal, np.logical_and)  # cumulative from the best
-    strict = weak & ~_coordinatewise(counts, np.equal, np.logical_and)
-    # chain: two-point mixtures of worst and best, worst-heavy first
-    chain = []
-    for m in range(resolution + 1):
-        target = np.zeros(num_prizes, dtype=int)
-        target[0] = m
-        target[-1] = resolution - m
-        chain.append(int(np.nonzero((counts == target).all(axis=1))[0][0]))
+    # chain: two-point mixtures of worst and best, worst-heavy first (compositions list the best-heavy first)
+    chain = np.flatnonzero(counts[:, 0] + counts[:, -1] == resolution)[::-1]
     desc = {"kind": "lottery_simplex", "num_prizes": num_prizes, "resolution": resolution}
-    space = OrderedSpace("lottery_simplex", points, weak, strict, tuple(chain), 1.0 / resolution, desc)
-    _validate_chain(points, weak, strict, chain)
-    return space
+    return OrderedSpace("lottery_simplex", counts / resolution, counts.cumsum(axis=1), chain, 1.0 / resolution, desc)
 
 
 def make_dated_rewards(money_resolution: int, time_resolution: int, bounds) -> OrderedSpace:
@@ -223,11 +227,7 @@ def make_dated_rewards(money_resolution: int, time_resolution: int, bounds) -> O
     if bounds.shape != (2, 2) or not (bounds[:, 1] > bounds[:, 0]).all():
         raise ConfigurationError("bounds must be ((money_lo, money_hi), (time_lo, time_hi))")
     _check_budget("dated_rewards", money_resolution * time_resolution)
-    money = np.linspace(bounds[0, 0], bounds[0, 1], money_resolution)
-    times = np.linspace(bounds[1, 0], bounds[1, 1], time_resolution)
-    points = np.array([(m, t) for m in money for t in times])
-    weak = _coordinatewise(np.column_stack([points[:, 0], -points[:, 1]]), np.greater_equal, np.logical_and)
-    strict = weak & ~weak.T
+    points = _product(np.linspace(*bounds[0], money_resolution), np.linspace(*bounds[1], time_resolution))
     chain = [mi * time_resolution + (time_resolution - 1) for mi in range(money_resolution)]
     chain += [(money_resolution - 1) * time_resolution + ti for ti in range(time_resolution - 2, -1, -1)]
     step = float(max((bounds[0, 1] - bounds[0, 0]) / (money_resolution - 1),
@@ -238,8 +238,7 @@ def make_dated_rewards(money_resolution: int, time_resolution: int, bounds) -> O
         "time_resolution": time_resolution,
         "bounds": bounds.tolist(),
     }
-    _validate_chain(points, weak, strict, chain)
-    return OrderedSpace("dated_rewards", points, weak, strict, tuple(chain), step, desc)
+    return OrderedSpace("dated_rewards", points, points * [1, -1], chain, step, desc)
 
 
 def make_aa_acts(num_states: int, lottery: OrderedSpace) -> OrderedSpace:
@@ -253,24 +252,17 @@ def make_aa_acts(num_states: int, lottery: OrderedSpace) -> OrderedSpace:
         raise ConfigurationError("underlying space must be a lottery_simplex")
     m = lottery.num_points
     _check_budget("aa_acts", m**num_states)
-    combos = list(itertools.product(range(m), repeat=num_states))
-    points = np.array([np.concatenate([lottery.points[i] for i in combo]) for combo in combos])
-    lw = lottery.weak_order
-    weak = np.ones((len(combos), len(combos)), dtype=bool)
-    for s in range(num_states):
-        idx = np.array([c[s] for c in combos])
-        weak &= lw[np.ix_(idx, idx)]
-    strict = weak & ~weak.T
-    index_of = {c: i for i, c in enumerate(combos)}
-    chain = tuple(index_of[(ci,) * num_states] for ci in lottery.chain)
+    combos = _product(*[np.arange(m)] * num_states)  # one lottery index per state
+    points = lottery.points[combos].reshape(len(combos), -1)
+    keys = lottery.order_keys[combos].reshape(len(combos), -1)
+    chain = np.ravel_multi_index((np.array(lottery.chain),) * num_states, (m,) * num_states)
     desc = {
         "kind": "aa_acts",
         "num_states": num_states,
         "num_prizes": lottery.descriptor["num_prizes"],
         "resolution": lottery.descriptor["resolution"],
     }
-    _validate_chain(points, weak, strict, chain)
-    return OrderedSpace("aa_acts", points, weak, strict, chain, lottery.step, desc)
+    return OrderedSpace("aa_acts", points, keys, chain, lottery.step, desc)
 
 
 def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
@@ -289,16 +281,14 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
     if points.shape[0] < 2:
         raise ConfigurationError("need at least 2 points")
     _check_budget("euclidean_points", points.shape[0])
-    weak = _coordinatewise(points, np.greater_equal, np.logical_and)
-    strict = _coordinatewise(points, np.greater, np.logical_and)
     distance = _coordinatewise(points, _gap, np.maximum)
     off_diagonal = distance[~np.eye(points.shape[0], dtype=bool)]
     if (off_diagonal == 0).any():
         raise ConfigurationError("points must be distinct")
     desc = {"kind": "euclidean_points", "points": points.tolist()}
-    if chain:
-        _validate_chain(points, weak, strict, chain)
-    space = OrderedSpace("euclidean_points", points, weak, strict, tuple(chain), float(off_diagonal.min()), desc)
+    space = OrderedSpace("euclidean_points", points, points, chain, float(off_diagonal.min()), desc)
+    if space.chain:
+        desc["chain"] = list(space.chain)
     vars(space)["distance_matrix"] = _frozen(distance)  # the cached matrix, so no read builds it a second time
     return space
 
@@ -320,21 +310,21 @@ def dense_subset(space: OrderedSpace, members: Sequence[int] | None = None, stri
     return DenseSubset(space, members, radius)
 
 
-def check_countable_order_property(space: OrderedSpace, B: DenseSubset, radius: float):
-    """Test whether B order-brackets every point at the given radius.
+def order_bracketing_radius(space: OrderedSpace, B: DenseSubset) -> float:
+    """Least radius at which B order-brackets every point of the space.
 
-    True iff every x has members b', b'' of B within `radius` with
-    b' <= x <= b''. Returns (ok, violating point indices).
+    B order-brackets x at radius r iff it has members b' <= x <= b'' within
+    r of x. The radius is the maximum over x of the larger of the distances
+    from x to its nearest member weakly below and to its nearest member
+    weakly above; it is 0 for B = X and infinite when some x has no member
+    of B on one side. B order-brackets every point at r iff the radius is
+    at most r.
     """
-    if radius <= 0:
-        raise DomainError("radius must be positive")
     members = list(B.members)
-    near = space.distance_matrix[:, members] <= radius + _EPS
-    below = space.weak_order[:, members]      # [x, b] : x >= b
-    above = space.weak_order[members, :].T    # [x, b] : b >= x
-    ok = (near & below).any(axis=1) & (near & above).any(axis=1)
-    witnesses = [int(i) for i in np.nonzero(~ok)[0]]
-    return len(witnesses) == 0, witnesses
+    distance = space.distance_matrix[:, members]
+    below = np.where(space.weak_order[:, members], distance, np.inf).min(axis=1)    # [x, b] : x >= b
+    above = np.where(space.weak_order[members, :].T, distance, np.inf).min(axis=1)  # [x, b] : b >= x
+    return float(np.maximum(below, above).max())
 
 
 def _int_field(where: str, value, minimum: int | None = None) -> int:
@@ -359,8 +349,24 @@ def space_from_descriptor(desc: dict | str) -> OrderedSpace:
         raise ConfigurationError(f"space descriptor of kind {desc.get('kind')!r} lacks field {err}") from None
 
 
+# the fields each kind of descriptor takes besides "kind"; "chain" is optional
+_DESCRIPTOR_FIELDS = {
+    "euclidean_grid": ("dims", "resolution", "bounds"),
+    "lottery_simplex": ("num_prizes", "resolution"),
+    "dated_rewards": ("money_resolution", "time_resolution", "bounds"),
+    "aa_acts": ("num_states", "num_prizes", "resolution"),
+    "euclidean_points": ("points", "chain"),
+}
+
+
 def _space_of_kind(desc: dict) -> OrderedSpace:
     kind = desc.get("kind")
+    fields = _DESCRIPTOR_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise ConfigurationError(f"unknown space kind: {kind!r}")
+    unknown = sorted(set(desc) - {"kind", *fields})
+    if unknown:
+        raise ConfigurationError(f"space descriptor of kind {kind!r} takes no field {unknown[0]!r}")
 
     def whole(key: str) -> int:
         return _int_field(f"space field {key!r}", desc[key])
@@ -380,6 +386,7 @@ def _space_of_kind(desc: dict) -> OrderedSpace:
     if kind == "aa_acts":
         lottery = make_lottery_simplex(whole("num_prizes"), whole("resolution"))
         return make_aa_acts(whole("num_states"), lottery)
-    if kind == "euclidean_points":
-        return from_points(numeric("points"))
-    raise ConfigurationError(f"unknown space kind: {kind!r}")
+    chain = desc.get("chain", [])
+    if not isinstance(chain, list):
+        raise ConfigurationError(f"space field 'chain' must be a list of point indices, got {chain!r}")
+    return from_points(numeric("points"), chain)

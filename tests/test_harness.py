@@ -385,7 +385,7 @@ class TestGallery:
 
 CSV_HEADER = "k,x_index,y_index,chose_x,chose_y\n"
 
-# space descriptors with a wrongly typed field
+# space descriptors with a wrongly typed, unknown or out-of-range field
 BAD_DESCRIPTORS = [
     pytest.param({"kind": "euclidean_grid", "dims": "2", "resolution": 3, "bounds": [0.0, 1.0]},
                  id="dims_not_integer"),
@@ -397,6 +397,10 @@ BAD_DESCRIPTORS = [
     pytest.param({"kind": "euclidean_points", "points": [[], []]}, id="points_without_coordinates"),
     pytest.param({"kind": "euclidean_points", "points": [[0.0], [float("nan")]]}, id="points_nan"),
     pytest.param({"kind": "euclidean_points", "points": [0.0, float("inf")]}, id="points_infinite"),
+    pytest.param({"kind": "euclidean_grid", "dims": 1, "resolution": 4, "bounds": [0, 1], "resolutoin": 9},
+                 id="field_misspelled"),
+    *[pytest.param({"kind": "euclidean_points", "points": [0.0, 1.0, 2.0], "chain": chain}, id=f"chain_{name}")
+      for name, chain in (("past_end", [0, 9]), ("not_integer", [0.5, 2]), ("negative", [0, -1]))],
 ]
 
 
@@ -458,7 +462,8 @@ class TestCli:
         *[pytest.param([command], None, CSV_HEADER + row, id=f"{command}_{name}")
           for command in ("check", "diameter")
           for name, row in (("negative_index", "1,-1,0,1,0\n"), ("index_past_end", "1,0,5,1,0\n"),
-                            ("self_pair", "1,2,2,1,0\n"), ("empty_choice", "1,0,1,0,0\n"))],
+                            ("self_pair", "1,2,2,1,0\n"), ("empty_choice", "1,0,1,0,0\n"),
+                            ("flag_not_0_or_1", "1,0,1,5,0\n"))],
         *[pytest.param(["check"], *bad.values, CSV_HEADER + "1,0,1,0,1\n", id=bad.id) for bad in BAD_DESCRIPTORS],
     ])
     def test_check_missing_file_exits_2(self, cli_space, tmp_path, capsys, command, space_doc, csv_text):
@@ -619,12 +624,19 @@ def _nested_ints(depth: int):
     return leaf if depth == 0 else st.one_of(leaf, st.lists(_nested_ints(depth - 1), max_size=3))
 
 
-_SPACE_KINDS = ("euclidean_grid", "lottery_simplex", "dated_rewards", "aa_acts", "euclidean_points", "mystery")
-_SPACE_FIELDS = ("dims", "resolution", "bounds", "num_prizes", "money_resolution", "time_resolution",
-                 "num_states", "points")
-FUZZED_DESCRIPTORS = st.fixed_dictionaries(
-    {"kind": st.sampled_from(_SPACE_KINDS)}, optional={key: _nested_ints(3) for key in _SPACE_FIELDS}
-)
+# the fields each kind takes, so that draws reach its builder: a field of another
+# kind exits 2 before any is built (BAD_DESCRIPTORS holds one such descriptor)
+_SPACE_FIELDS = {
+    "euclidean_grid": ("dims", "resolution", "bounds"),
+    "lottery_simplex": ("num_prizes", "resolution"),
+    "dated_rewards": ("money_resolution", "time_resolution", "bounds"),
+    "aa_acts": ("num_states", "num_prizes", "resolution"),
+    "euclidean_points": ("points", "chain"),
+    "mystery": ("points",),
+}
+FUZZED_DESCRIPTORS = st.sampled_from(sorted(_SPACE_FIELDS)).flatmap(lambda kind: st.fixed_dictionaries(
+    {"kind": st.just(kind)}, optional={key: _nested_ints(3) for key in _SPACE_FIELDS[kind]}
+))
 
 
 def _num_points(doc) -> int:

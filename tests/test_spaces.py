@@ -1,23 +1,25 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import prefid
 from conftest import fosd_compare
 from prefid import (
-    check_countable_order_property,
     dense_subset,
     from_points,
     make_aa_acts,
     make_dated_rewards,
     make_grid_euclidean,
     make_lottery_simplex,
+    order_bracketing_radius,
     space_from_descriptor,
 )
 from prefid.errors import CapacityError, ConfigurationError, DomainError
+from prefid.spaces import _EPS
 
 
 def naive_dominance(points):
@@ -51,15 +53,51 @@ def broadcast_orders(space):
     return weak, weak & ~weak.T
 
 
-@pytest.mark.parametrize("make", [
-    pytest.param(lambda: make_grid_euclidean(3, 3, (0.0, 1.0)), id="euclidean_grid"),
-    pytest.param(lambda: from_points(np.random.default_rng(3).normal(size=(20, 3)).round(1)), id="euclidean_points"),
-    pytest.param(lambda: make_dated_rewards(3, 4, ((0.0, 1.0), (0.0, 2.0))), id="dated_rewards"),
-    pytest.param(lambda: make_lottery_simplex(3, 4), id="lottery_simplex"),
-    pytest.param(lambda: make_aa_acts(2, make_lottery_simplex(3, 2)), id="aa_acts"),
-])
-def test_matrices_match_broadcast_oracle(make):
-    space = make()
+def _intervals(count):
+    """`count` nondegenerate (lo, hi) intervals with random ends."""
+    interval = st.tuples(st.floats(-5.0, 5.0), st.floats(0.1, 5.0)).map(lambda lw: (lw[0], lw[0] + lw[1]))
+    return st.lists(interval, min_size=count, max_size=count)
+
+
+def _draw_space(data, kind):
+    """A space of the kind on drawn arguments, at most 216 points, and its points built by loops."""
+    if kind == "euclidean_grid":
+        dims = data.draw(st.integers(1, 3))
+        res = data.draw(st.integers(2, {1: 12, 2: 10, 3: 6}[dims]))
+        bounds = data.draw(_intervals(dims))
+        axes = [np.linspace(lo, hi, res) for lo, hi in bounds]
+        naive = [[axes[i][level] for i, level in enumerate(levels)]
+                 for levels in itertools.product(range(res), repeat=dims)]
+        return make_grid_euclidean(dims, res, bounds), naive
+    if kind == "lottery_simplex":
+        prizes, res = data.draw(st.integers(2, 4)), data.draw(st.integers(1, 6))
+        # count vectors summing to res, best-heavy first
+        counts = [c for c in itertools.product(range(res, -1, -1), repeat=prizes) if sum(c) == res]
+        return make_lottery_simplex(prizes, res), np.array(counts) / res
+    if kind == "dated_rewards":
+        money_res, time_res = data.draw(st.integers(2, 8)), data.draw(st.integers(2, 8))
+        bounds = data.draw(_intervals(2))
+        money, times = np.linspace(*bounds[0], money_res), np.linspace(*bounds[1], time_res)
+        return make_dated_rewards(money_res, time_res, bounds), list(itertools.product(money, times))
+    if kind == "aa_acts":
+        lottery = make_lottery_simplex(data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3)))
+        states = data.draw(st.integers(1, 3))
+        assume(lottery.num_points**states <= 216)
+        naive = [np.concatenate([lottery.points[i] for i in combo])
+                 for combo in itertools.product(range(lottery.num_points), repeat=states)]
+        return make_aa_acts(states, lottery), naive
+    dims = data.draw(st.integers(1, 3))
+    coordinates = st.tuples(*[st.integers(-4, 4).map(lambda v: v / 2)] * dims)
+    points = data.draw(st.lists(coordinates, min_size=2, max_size=30, unique=True))
+    return from_points(points), points
+
+
+@pytest.mark.parametrize("kind", ["euclidean_grid", "euclidean_points", "dated_rewards", "lottery_simplex", "aa_acts"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_matrices_match_broadcast_oracle(kind, data):
+    space, naive_points = _draw_space(data, kind)
+    assert np.array_equal(space.points, np.array(naive_points, dtype=float))
     distance = broadcast_compare(space.points)[0]
     weak, strict = broadcast_orders(space)
     assert np.array_equal(space.distance_matrix, distance)
@@ -67,6 +105,11 @@ def test_matrices_match_broadcast_oracle(make):
     assert np.array_equal(space.strict_order, strict)
     if space.kind == "euclidean_points":
         assert space.step == distance[distance > 0].min()
+    else:  # the reference chain: strictly increasing, from a point below every point to one above
+        chain = space.chain
+        assert len(chain) >= 2
+        assert all(strict[hi, lo] for lo, hi in zip(chain, chain[1:]))
+        assert weak[chain[-1], :].all() and weak[:, chain[0]].all()
 
 
 def test_act_space_matrices_stay_under_64_mb():
@@ -241,6 +284,7 @@ class TestDescriptors:
         lambda: make_dated_rewards(3, 2, ((0.0, 1.0), (0.0, 1.0))),
         lambda: make_aa_acts(2, make_lottery_simplex(2, 3)),
         lambda: from_points(np.array([[0.0], [0.25], [1.0]])),
+        lambda: from_points(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.5], [1.0, 1.0]]), chain=(0, 3)),
     ])
     def test_round_trip(self, make):
         sp = make()
@@ -272,19 +316,39 @@ class TestDenseSubset:
 
 class TestCountableOrderProperty:
     def test_full_subset_brackets_at_one_step(self, grid3):
-        ok, bad = check_countable_order_property(grid3, dense_subset(grid3, stride=1), grid3.step)
-        assert ok and bad == []
+        assert order_bracketing_radius(grid3, dense_subset(grid3, stride=1)) <= grid3.step
 
     def test_sparse_subset_fails_close_radius(self, chain6):
-        # 1 has no member above it within reach, 4 none below, 2 and 3 neither
+        # the nearest member above 1 is 5, and the nearest below 4 is 0: both 4 away
         B = dense_subset(chain6, members=[0, 5])
-        ok, bad = check_countable_order_property(chain6, B, radius=1.0)
-        assert not ok
-        assert set(bad) == {1, 2, 3, 4}
+        assert order_bracketing_radius(chain6, B) == 4.0
 
-    def test_radius_must_be_positive(self, grid3):
-        with pytest.raises(DomainError):
-            check_countable_order_property(grid3, dense_subset(grid3, stride=1), 0.0)
+    def test_full_subset_gives_zero(self, grid3):
+        # every point brackets itself
+        assert order_bracketing_radius(grid3, dense_subset(grid3, stride=1)) == 0.0
+
+
+def naive_brackets(space, members, radius) -> bool:
+    """Whether every x has members b' <= x <= b'' within `radius`, by loops."""
+    D, weak = space.distance_matrix, space.weak_order
+    for x in range(space.num_points):
+        near = [b for b in members if D[x, b] <= radius + _EPS]
+        if not any(weak[x, b] for b in near) or not any(weak[b, x] for b in near):
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_bracketing_radius_agrees_with_naive_verdict(data):
+    space = data.draw(st.one_of(
+        st.builds(make_grid_euclidean, st.integers(1, 2), st.integers(2, 5), st.just((0.0, 1.0))),
+        st.builds(make_lottery_simplex, st.integers(2, 3), st.integers(1, 4)),
+    ))
+    members = data.draw(st.lists(st.integers(0, space.num_points - 1), min_size=1, unique=True))
+    radius = order_bracketing_radius(space, dense_subset(space, members=members))
+    for r in space.distance_values:
+        assert (radius <= r + _EPS) == naive_brackets(space, members, r)
 
 
 class TestIndexOf:
