@@ -13,7 +13,7 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from .errors import DomainError
-from .spaces import _EPS, OrderedSpace
+from .spaces import _EPS, OrderedSpace, same_space
 
 __all__ = [
     "Preference",
@@ -27,10 +27,6 @@ __all__ = [
     "closed_convergence_distance",
     "li_ls_limit",
 ]
-
-
-def same_space(a: OrderedSpace, b: OrderedSpace) -> bool:
-    return a is b or (a.kind == b.kind and a.points.shape == b.points.shape and np.array_equal(a.points, b.points))
 
 
 @dataclass(frozen=True, eq=False)

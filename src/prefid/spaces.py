@@ -34,6 +34,7 @@ __all__ = [
 
 _POINT_BUDGET = 4096
 _EPS = 1e-12  # closed balls: a point within radius + _EPS of the center is inside
+_COVER_CELLS = 1 << 22  # (row, column) cells of one block of `_covers`' product: bounds its working memory
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -63,8 +64,9 @@ class OrderedSpace:
         descriptor: construction parameters, enough to rebuild the space.
 
     Derived from these and cached on first read: `weak_order` and
-    `strict_order` from the keys, `distance_matrix` and `distance_values`
-    from the points.
+    `strict_order` from the keys, their covering pairs `weak_covers` and
+    `strict_covers`, and `distance_matrix` and `distance_values` from the
+    points.
     """
 
     kind: str
@@ -110,6 +112,24 @@ class OrderedSpace:
         return _frozen(self.weak_order & ~self.weak_order.T)
 
     @cached_property
+    def weak_covers(self) -> np.ndarray:
+        """(n, n) bool, the covering pairs of `weak_order` off its diagonal: the transitive reduction.
+
+        The covers of its strict part, i >= j but not j >= i with no point strictly between, and the ties
+        i != j of equal keys, which only a hand-built space has. Their transitive closure is `weak_order`
+        off its diagonal.
+        """
+        weak = self.weak_order
+        ties = weak & weak.T
+        np.fill_diagonal(ties, False)
+        return _frozen(_covers(weak & ~weak.T) | ties)
+
+    @cached_property
+    def strict_covers(self) -> np.ndarray:
+        """(n, n) bool, the covering pairs of `strict_order`: its transitive reduction."""
+        return _frozen(_covers(self.strict_order))
+
+    @cached_property
     def distance_matrix(self) -> np.ndarray:
         """Pairwise max-coordinate distances, shape (n, n)."""
         return _frozen(_coordinatewise(self.points, _gap, np.maximum))
@@ -150,6 +170,21 @@ def _coordinatewise(coords: np.ndarray, compare, combine) -> np.ndarray:
     out = compare(coords[:, 0, None], coords[None, :, 0])
     for column in coords.T[1:]:
         combine(out, compare(column[:, None], column[None, :]), out=out)
+    return out
+
+
+def _covers(strict: np.ndarray) -> np.ndarray:
+    """The covering pairs of a strict order S: the pairs of S with no point k between, S[i, k] and S[k, j].
+
+    S @ S counts the points between each pair. As a float32 product the counts are exact, being at most
+    n <= 4,096, far below 2**24. The rows go in blocks of about `_COVER_CELLS` cells.
+    """
+    n = len(strict)
+    factor = strict.astype(np.float32)
+    out = strict.copy()
+    step = max(1, _COVER_CELLS // max(1, n))
+    for start in range(0, n, step):
+        out[start:start + step] &= factor[start:start + step] @ factor < 0.5
     return out
 
 
@@ -310,6 +345,11 @@ def dense_subset(space: OrderedSpace, members: Sequence[int] | None = None, stri
     return DenseSubset(space, members, radius)
 
 
+def same_space(a: OrderedSpace, b: OrderedSpace) -> bool:
+    """Whether two spaces are one: the same object, or the same kind over the same points."""
+    return a is b or (a.kind == b.kind and a.points.shape == b.points.shape and np.array_equal(a.points, b.points))
+
+
 def order_bracketing_radius(space: OrderedSpace, B: DenseSubset) -> float:
     """Least radius at which B order-brackets every point of the space.
 
@@ -318,8 +358,10 @@ def order_bracketing_radius(space: OrderedSpace, B: DenseSubset) -> float:
     from x to its nearest member weakly below and to its nearest member
     weakly above; it is 0 for B = X and infinite when some x has no member
     of B on one side. B order-brackets every point at r iff the radius is
-    at most r.
+    at most r. Raises DomainError when B is a subset of another space.
     """
+    if not same_space(space, B.space):
+        raise DomainError("the subset belongs to another space")
     members = list(B.members)
     distance = space.distance_matrix[:, members]
     below = np.where(space.weak_order[:, members], distance, np.inf).min(axis=1)    # [x, b] : x >= b

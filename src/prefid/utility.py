@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError, PreconditionError
-from .preferences import Preference, from_utility, is_strictly_monotone, is_weakly_monotone, same_space
-from .spaces import OrderedSpace
+from .preferences import Preference, from_utility, is_strictly_monotone, is_weakly_monotone
+from .spaces import OrderedSpace, same_space
 
 __all__ = [
     "UtilityFunction",

@@ -485,6 +485,16 @@ class TestCli:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_check_strict_monotone_witness_reads_the_whole_order(self, cli_space, tmp_path, capsys):
+        # 0 and 2 revealed indifferent on the chain: the shortest cycle starts at the strict pair 2 > 0, which is
+        # not a covering pair (2 > 1 > 0); started from the covers it would be (1, 0, 2, 1)
+        data = tmp_path / "tie.csv"
+        data.write_text(CSV_HEADER + "1,0,2,1,1\n")
+        code = main(["check", "--data", str(data), "--space", cli_space, "--mode", "strong", "--monotone", "strict"])
+        assert code == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"policy": "canonical", "consistent": False, "witness_cycle": [2, 0, 2]}
+
     def test_check_monotone_flag(self, cli_space, cli_choices, capsys):
         code = main([
             "check", "--data", cli_choices, "--space", cli_space,

@@ -21,6 +21,7 @@ from prefid import (
     ConfigurationError,
     DomainError,
     ExperimentSequence,
+    OrderedSpace,
     PreconditionError,
     Preference,
     ResolutionError,
@@ -29,6 +30,8 @@ from prefid import (
     from_points,
     from_utility,
     generate_choices,
+    make_aa_acts,
+    make_dated_rewards,
     make_grid_euclidean,
     make_lottery_simplex,
     restrict,
@@ -37,10 +40,13 @@ import prefid.preferences as preferences_module
 import prefid.rationalize as rationalize_module
 from prefid.preferences import closed_convergence_distance
 from prefid.rationalize import (
+    _eu_from_edges,
     _max_height,
     _min_height,
+    _relation_diameter,
     DiameterResult,
     RationalizationPolicy,
+    RevealedRelation,
     adversarial_far_extension,
     all_total_preorders,
     brute_force_rationalizations,
@@ -138,14 +144,23 @@ class TestRevealedRelation:
         r = revealed_relation(e, c, "weak", monotone="weak")
         assert r.has_monotone_edges()
         # the view names an edge with a pair a data edge, any other a monotonicity edge
-        assert [(ed.source, ed.pair_index) for ed in r.edges] == [("data", 1)] + [("monotonicity", None)] * 15
-        # every ordered pair i > j of the chain appears as a weak edge
-        assert {(i, j) for i in range(6) for j in range(6) if i > j} <= edge_sets(r)[0]
+        assert [(ed.source, ed.pair_index) for ed in r.edges] == [("data", 1)] + [("monotonicity", None)] * 5
+        # the monotone edges are the chain's covering pairs i > i - 1; the arc matrix holds every pair i > j
+        covers = [(i, i - 1, False) for i in range(1, 6)]
+        assert list(zip(r.x.tolist(), r.y.tolist(), r.strict.tolist())) == [(1, 0, False)] + covers
+        assert np.array_equal(r.arc_matrix, np.tril(np.ones((6, 6), dtype=bool), -1))
 
     def test_monotone_strict_injects_strict_edges(self, chain6):
         e, c = dataset(chain6, [(0, 1, (1,))], "weak")
         r = revealed_relation(e, c, "weak", monotone="strict")
-        assert {(5, 0), (1, 0)} <= edge_sets(r)[1]
+        covers = [(i, i - 1) for i in range(1, 6)]
+        expected = [(1, 0, False)] + [(x, y, False) for x, y in covers] + [(x, y, True) for x, y in covers]
+        assert list(zip(r.x.tolist(), r.y.tolist(), r.strict.tolist())) == expected
+        assert np.array_equal(r.arc_matrix, np.tril(np.ones((6, 6), dtype=bool), -1))
+        # the witness reads the whole order: "0 strictly over 5" closes on the pair 5 > 0, not on a chain of covers
+        e, c = dataset(chain6, [(0, 5, (0,))], "strong")
+        for monotone in ("weak", "strict"):
+            assert check_consistency(revealed_relation(e, c, "strong", monotone=monotone)).witness == (0, 5, 0)
 
     def test_monotone_none_keeps_data_only(self, chain6):
         e, c = dataset(chain6, [(0, 1, (1,))], "weak")
@@ -469,6 +484,79 @@ class TestCoverWalk:
             got = sample_extension(r, got_rng, merge_prob)
             assert got.rank.tolist() == Preference(g, oracle_sample(r, want_rng, merge_prob)).rank.tolist()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def whole_order_relation(r, monotone):
+    """r's data edges and, as monotonicity edges, every ordered pair of the space order: the relation before covers."""
+    space, data = r.space, r.data_edges()
+    columns = [(r.x[data], r.y[data], r.strict[data], r.pair_index[data])]
+    orders = [(False, space.weak_order & ~np.eye(space.num_points, dtype=bool))]
+    if monotone == "strict":
+        orders.append((True, space.strict_order))
+    for is_strict, order in orders:
+        ii, jj = np.nonzero(order)
+        columns.append((ii, jj, np.full(len(ii), is_strict), np.zeros(len(ii), dtype=np.int64)))
+    return RevealedRelation(space, *(np.concatenate(column) for column in zip(*columns)))
+
+
+def _draw_monotone_space(data):
+    """A small space of any kind, or a hand-built one with tied order keys."""
+    kind = data.draw(st.sampled_from(["grid", "lottery", "dated", "acts", "tied"]))
+    if kind == "grid":
+        dims = data.draw(st.integers(1, 3))
+        return make_grid_euclidean(dims, data.draw(st.integers(2, {1: 9, 2: 5, 3: 3}[dims])), (0.0, 1.0))
+    if kind == "lottery":
+        return make_lottery_simplex(data.draw(st.integers(3, 4)), data.draw(st.integers(1, 4)))
+    if kind == "dated":
+        return make_dated_rewards(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 4)), ((0.0, 1.0), (0.0, 1.0)))
+    if kind == "acts":
+        return make_aa_acts(2, make_lottery_simplex(data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2))))
+    n = data.draw(st.integers(3, 9))
+    keys = np.array(data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=n, max_size=n)))
+    tied_kind = data.draw(st.sampled_from(["euclidean_points", "dated_rewards"]))
+    return OrderedSpace(tied_kind, np.arange(n, dtype=float)[:, None], keys, (), 1.0, {"kind": tied_kind})
+
+
+class TestMonotoneCovers:
+    """The covers relation reads as the relation with every pair of the space order, to the last output."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_covers_relation_matches_whole_order_relation(self, data):
+        space = _draw_monotone_space(data)
+        monotone = data.draw(st.sampled_from(["weak", "strict"]))
+        mode = data.draw(st.sampled_from(["strong", "weak"]))
+        # integer utilities: noise 0 with positive weights respects the order, noise 1 often breaks it
+        keys = np.asarray(space.order_keys, dtype=float)
+        weights = np.array(data.draw(st.lists(st.integers(1, 3), min_size=keys.shape[1], max_size=keys.shape[1])))
+        noise = data.draw(st.sampled_from([0, 1]))
+        jitter = np.array(data.draw(st.lists(st.integers(-2, 2), min_size=space.num_points,
+                                             max_size=space.num_points)))
+        truth = from_utility(space, keys @ weights + noise * 4 * jitter)
+        members = data.draw(st.lists(st.integers(0, space.num_points - 1), min_size=2, max_size=8, unique=True))
+        e = enumerate_pairs(dense_subset(space, members=sorted(members)), "shuffled", data.draw(st.integers(0, 99)))
+        c = generate_choices(truth, e, mode=mode, tie_policy="both" if mode == "strong" else "first")
+        r = revealed_relation(*restrict(e, c, data.draw(st.integers(1, len(e)))), mode, monotone=monotone)
+        oracle = whole_order_relation(r, monotone)
+        assert np.array_equal(r.arc_matrix, oracle.arc_matrix)
+        assert r.condensation.labels.tolist() == oracle.condensation.labels.tolist()
+        verdict = check_consistency(r)
+        assert verdict == check_consistency(oracle)
+        if space.kind == "lottery_simplex":
+            got, want = _eu_from_edges(r), _eu_from_edges(oracle)
+            assert got.status == want.status and got.margin == want.margin
+            assert (got.index is None and want.index is None) or np.array_equal(got.index, want.index)
+        if not verdict.consistent:
+            return
+        assert _min_height(r.condensation).tolist() == _min_height(oracle.condensation).tolist()
+        assert _max_height(r.condensation).tolist() == _max_height(oracle.condensation).tolist()
+        seed, merge_prob = data.draw(st.integers(0, 2**32)), data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            assert sample_extension(r, got_rng, merge_prob) == sample_extension(oracle, want_rng, merge_prob)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        policy_class = {"weak": "weak_monotone", "strict": "strict_monotone"}[monotone]
+        assert _relation_diameter(r, policy_class, 12, seed) == _relation_diameter(oracle, policy_class, 12, seed)
 
 
 class TestSeededGolden:

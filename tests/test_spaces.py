@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import prefid
 from conftest import fosd_compare
 from prefid import (
+    OrderedSpace,
     dense_subset,
     from_points,
     make_aa_acts,
@@ -110,6 +111,55 @@ def test_matrices_match_broadcast_oracle(kind, data):
         assert len(chain) >= 2
         assert all(strict[hi, lo] for lo, hi in zip(chain, chain[1:]))
         assert weak[chain[-1], :].all() and weak[:, chain[0]].all()
+
+
+def naive_covers(strict):
+    """The pairs of a strict order with no point between them, through the (n, n, n) conjunction."""
+    return strict & ~(strict[:, :, None] & strict[None, :, :]).any(axis=1)
+
+
+def closure(arcs):
+    """Transitive closure of a boolean adjacency matrix, by Warshall's loop."""
+    reach = arcs.copy()
+    for k in range(len(reach)):
+        reach |= reach[:, k, None] & reach[None, k, :]
+    return reach
+
+
+@pytest.mark.parametrize("kind", ["euclidean_grid", "euclidean_points", "dated_rewards", "lottery_simplex", "aa_acts"])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_covers_are_the_transitive_reduction(kind, data):
+    space, _ = _draw_space(data, kind)
+    off_diagonal = ~np.eye(space.num_points, dtype=bool)
+    assert np.array_equal(space.weak_covers, naive_covers(space.weak_order & off_diagonal))
+    assert np.array_equal(space.strict_covers, naive_covers(space.strict_order))
+    assert np.array_equal(closure(space.weak_covers), space.weak_order & off_diagonal)
+    assert np.array_equal(closure(space.strict_covers), space.strict_order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_covers_of_tied_keys_add_the_ties(data):
+    # only a hand-built space has tied keys; its strict order is >> or the strict part of the weak order by kind
+    n = data.draw(st.integers(2, 9))
+    keys = np.array(data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=n, max_size=n)))
+    kind = data.draw(st.sampled_from(["euclidean_points", "dated_rewards"]))
+    space = OrderedSpace(kind, np.arange(n, dtype=float)[:, None], keys, (), 1.0, {"kind": kind})
+    weak, off_diagonal = space.weak_order, ~np.eye(n, dtype=bool)
+    ties = weak & weak.T & off_diagonal
+    assert np.array_equal(space.weak_covers, naive_covers(weak & ~weak.T) | ties)
+    assert np.array_equal(closure(space.weak_covers) & off_diagonal, weak & off_diagonal)
+    assert np.array_equal(space.strict_covers, naive_covers(space.strict_order))
+    assert np.array_equal(closure(space.strict_covers), space.strict_order)
+
+
+def test_covers_in_row_blocks_match_one_block(monkeypatch):
+    whole = make_lottery_simplex(3, 8)
+    monkeypatch.setattr(prefid.spaces, "_COVER_CELLS", 100)  # 45 points: blocks of 2 rows
+    blocked = make_lottery_simplex(3, 8)
+    assert np.array_equal(blocked.weak_covers, whole.weak_covers)
+    assert np.array_equal(blocked.strict_covers, whole.strict_covers)
 
 
 def test_act_space_matrices_stay_under_64_mb():
@@ -326,6 +376,13 @@ class TestCountableOrderProperty:
     def test_full_subset_gives_zero(self, grid3):
         # every point brackets itself
         assert order_bracketing_radius(grid3, dense_subset(grid3, stride=1)) == 0.0
+
+    def test_subset_of_another_space_rejected(self, grid3, chain6):
+        # the grid's index 8 lies past the chain's end, and the chain's members index the wrong grid points
+        with pytest.raises(DomainError):
+            order_bracketing_radius(chain6, dense_subset(grid3, members=[0, 8]))
+        with pytest.raises(DomainError):
+            order_bracketing_radius(grid3, dense_subset(chain6, members=[0, 5]))
 
 
 def naive_brackets(space, members, radius) -> bool:
