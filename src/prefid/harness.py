@@ -389,14 +389,13 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
 # counterexample gallery
 
 
-def _record(checks: dict, name: str, passed: bool, value=None) -> bool:
+def _record(checks: dict, name: str, passed: bool, value=None) -> None:
     checks[name] = {"passed": bool(passed)}
     if value is not None:
         checks[name]["value"] = value
-    return bool(passed)
 
 
-def _gallery_motivating_01() -> dict:
+def _gallery_motivating_01() -> tuple[dict, list[dict]]:
     # 21-point unit interval; data only ever compares interior alternatives,
     # so ranking the left endpoint above the right stays consistent forever
     space = make_grid_euclidean(1, 21, (0.0, 1.0))
@@ -408,7 +407,6 @@ def _gallery_motivating_01() -> dict:
     hi = space.index_of([1.0])
     checks: dict = {}
     rows = []
-    ok = True
     for k in (1, 2, 4, 8, 16, 32, 50):
         e_k, c_k = restrict(e, c, k)
         e_aug = ExperimentSequence(space, B, np.vstack([e_k.pair_array, (lo, hi)]))
@@ -418,7 +416,7 @@ def _gallery_motivating_01() -> dict:
         pref = extend_preference(r, RationalizationPolicy()) if consistent else None
         flipped = bool(pref is not None and pref.rank[lo] > pref.rank[hi])
         replays = bool(pref is not None and rationalizes(pref, e_k, c_k) and rationalizes(pref, e_aug, c_aug))
-        ok &= _record(checks, f"k={k}: zero-ranked-above-one stays consistent", consistent and flipped and replays)
+        _record(checks, f"k={k}: zero-ranked-above-one stays consistent", consistent and flipped and replays)
         rows.append({
             "k": k,
             "consistent": consistent,
@@ -426,10 +424,10 @@ def _gallery_motivating_01() -> dict:
             "replays_data": replays,
             "delta_c_to_generator": closed_convergence_distance(pref, gen) if pref is not None else None,
         })
-    return {"item": "motivating_01", "ok": bool(ok), "assertions": checks, "rows": rows}
+    return checks, rows
 
 
-def _gallery_prop1() -> dict:
+def _gallery_prop1() -> tuple[dict, list[dict]]:
     space = make_grid_euclidean(1, 64, (0.0, 1.0))
     h = space.step
     B = dense_subset(space, stride=4)
@@ -440,24 +438,23 @@ def _gallery_prop1() -> dict:
     ks = (1, 2, 4, 8, 16)
     checks: dict = {}
     rows, prefs, radii = [], [], []
-    ok = True
     for k in ks:
         e_k, c_k = restrict(e, c, k)
         pref = indifference_construction(e_k, c_k)
         delta = closed_convergence_distance(pref, tind)
         bound = 1.0 / (2.0 * k) + 2.0 * h
-        ok &= _record(checks, f"k={k}: distance to indifference within bound", delta <= bound + 1e-9,
-                      {"delta_c": delta, "bound": bound})
-        ok &= _record(checks, f"k={k}: construction replays its data", rationalizes(pref, e_k, c_k))
+        _record(checks, f"k={k}: distance to indifference within bound", delta <= bound + 1e-9,
+                {"delta_c": delta, "bound": bound})
+        _record(checks, f"k={k}: construction replays its data", rationalizes(pref, e_k, c_k))
         prefs.append(pref)
         radii.append(bound)
         rows.append({"k": k, "delta_c_to_indifference": delta, "bound": bound, "consistent": True})
     li, ls = li_ls_limit(prefs, radii)
     n = space.num_points
     full = BinaryRelation(space, np.ones((n, n), dtype=bool))
-    ok &= _record(checks, "limit inferior covers all pairs", li == full)
-    ok &= _record(checks, "limit superior covers all pairs", ls == full)
-    return {"item": "prop1", "ok": bool(ok), "assertions": checks, "rows": rows}
+    _record(checks, "limit inferior covers all pairs", li == full)
+    _record(checks, "limit superior covers all pairs", ls == full)
+    return checks, rows
 
 
 def _grodal_values(space, rho: float, beta: float) -> np.ndarray:
@@ -469,7 +466,7 @@ def _grodal_values(space, rho: float, beta: float) -> np.ndarray:
     return np.where(inside, funnel, base)
 
 
-def _gallery_grodal() -> dict:
+def _gallery_grodal() -> tuple[dict, list[dict]]:
     # transitive terms whose limit keeps an intransitive indifference part:
     # indifference curves pivot inside a shrinking box around (1/2, 1/2)
     space = make_grid_euclidean(2, 13, (0.0, 1.0))
@@ -486,8 +483,7 @@ def _gallery_grodal() -> dict:
     tail_starts = (0, 2, 7, 11, 11)
     li, ls = li_ls_limit(prefs, radii, tail_starts)
     checks: dict = {}
-    ok = True
-    ok &= _record(checks, "limit inferior equals limit superior", li == ls)
+    _record(checks, "limit inferior equals limit superior", li == ls)
     limit = li.matrix
     ia = space.index_of([0.25, 0.25])
     iz = space.index_of([0.5, 0.5])
@@ -495,17 +491,17 @@ def _gallery_grodal() -> dict:
     a_sim_z = bool(limit[ia, iz] and limit[iz, ia])
     z_sim_b = bool(limit[iz, ib] and limit[ib, iz])
     b_over_a = bool(limit[ib, ia] and not limit[ia, ib])
-    ok &= _record(checks, "corner point indifferent to center", a_sim_z)
-    ok &= _record(checks, "center indifferent to opposite corner", z_sim_b)
-    ok &= _record(checks, "but the two corners are strictly ranked", b_over_a)
-    ok &= _record(checks, "so indifference is intransitive in the limit", a_sim_z and z_sim_b and b_over_a)
-    ok &= _record(checks, "limit relation is complete", li.is_complete())
-    ok &= _record(checks, "limit relation is quasitransitive", is_quasitransitive(li))
+    _record(checks, "corner point indifferent to center", a_sim_z)
+    _record(checks, "center indifferent to opposite corner", z_sim_b)
+    _record(checks, "but the two corners are strictly ranked", b_over_a)
+    _record(checks, "so indifference is intransitive in the limit", a_sim_z and z_sim_b and b_over_a)
+    _record(checks, "limit relation is complete", li.is_complete())
+    _record(checks, "limit relation is quasitransitive", is_quasitransitive(li))
     rows = [{"n": n, "rho": max(h, 1.0 / n), "num_classes": p.num_classes()} for n, p in zip(terms, prefs)]
-    return {"item": "grodal_nontransitive", "ok": bool(ok), "assertions": checks, "rows": rows}
+    return checks, rows
 
 
-def _gallery_locally_strict() -> dict:
+def _gallery_locally_strict() -> tuple[dict, list[dict]]:
     # two intervals, a hill peaking at -2 and a valley bottoming at 2; the
     # peak/valley tie in the limit has no strictly ranked pair nearby
     pts = np.array([i / 10 for i in range(-30, -9)] + [i / 10 for i in range(10, 31)])
@@ -522,7 +518,6 @@ def _gallery_locally_strict() -> dict:
     limit_vals = values(0.0)
     limit = from_utility(space, limit_vals)
     checks: dict = {}
-    ok = True
     rows = []
     deltas = []
     # the sequence starts at n = 2: at n = 1 the branch endpoints tie at
@@ -532,26 +527,26 @@ def _gallery_locally_strict() -> dict:
         vals = values(1.0 / n)
         pref = from_utility(space, vals)
         strict_ok, _ = is_locally_strict(pref, radius)
-        ok &= _record(checks, f"n={n}: term is locally strict", strict_ok)
+        _record(checks, f"n={n}: term is locally strict", strict_ok)
         delta = closed_convergence_distance(pref, limit)
         deltas.append(delta)
         rows.append({"n": n, "delta_c_to_limit": delta, "value_at_minus2": float(vals[im2]),
                      "value_at_2": float(vals[ip2])})
     vals_10 = values(0.1)
     pref_10 = from_utility(space, vals_10)
-    ok &= _record(checks, "n=10: value at -2 is exactly 0.1", vals_10[im2] == 0.1, float(vals_10[im2]))
-    ok &= _record(checks, "n=10: value at 2 is exactly -0.1", vals_10[ip2] == -0.1, float(vals_10[ip2]))
-    ok &= _record(checks, "n=10: -2 strictly above 2", bool(pref_10.strict[im2, ip2]))
-    ok &= _record(checks, "limit values at -2 and 2 are exactly 0",
-                  limit_vals[im2] == 0.0 and limit_vals[ip2] == 0.0)
+    _record(checks, "n=10: value at -2 is exactly 0.1", vals_10[im2] == 0.1, float(vals_10[im2]))
+    _record(checks, "n=10: value at 2 is exactly -0.1", vals_10[ip2] == -0.1, float(vals_10[ip2]))
+    _record(checks, "n=10: -2 strictly above 2", bool(pref_10.strict[im2, ip2]))
+    _record(checks, "limit values at -2 and 2 are exactly 0",
+            limit_vals[im2] == 0.0 and limit_vals[ip2] == 0.0)
     limit_ok, violations = is_locally_strict(limit, radius)
-    ok &= _record(checks, "limit is not locally strict", not limit_ok)
-    ok &= _record(checks, "the only failure is the pair (-2, 2)", violations == [(im2, ip2)],
-                  violations)
-    ok &= _record(checks, "distances to the limit are nonincreasing",
-                  all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:])))
-    ok &= _record(checks, "final distance within two grid steps", deltas[-1] <= 0.2 + 1e-12, deltas[-1])
-    return {"item": "locally_strict_not_closed", "ok": bool(ok), "assertions": checks, "rows": rows}
+    _record(checks, "limit is not locally strict", not limit_ok)
+    _record(checks, "the only failure is the pair (-2, 2)", violations == [(im2, ip2)],
+            violations)
+    _record(checks, "distances to the limit are nonincreasing",
+            all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:])))
+    _record(checks, "final distance within two grid steps", deltas[-1] <= 0.2 + 1e-12, deltas[-1])
+    return checks, rows
 
 
 GALLERY_ITEMS = {
@@ -571,14 +566,14 @@ def run_gallery(item: str, out_dir: str | None = None) -> dict:
     """
     if item not in GALLERY_ITEMS:
         raise ConfigurationError(f"unknown gallery item {item!r}; choose from {sorted(GALLERY_ITEMS)}")
-    result = GALLERY_ITEMS[item]()
+    checks, rows = GALLERY_ITEMS[item]()
+    result = {"item": item, "ok": all(check["passed"] for check in checks.values()), "assertions": checks, "rows": rows}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         json_path = os.path.join(out_dir, f"{item}.json")
         with open(json_path, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2, default=float)
         csv_path = os.path.join(out_dir, f"{item}.csv")
-        rows = result["rows"]
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
             writer.writeheader()

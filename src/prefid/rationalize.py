@@ -296,34 +296,42 @@ def check_consistency(r: RevealedRelation) -> ConsistencyResult:
     lexicographically least, starting at its strict edge) is returned. The
     witness reads the whole monotone order, not only its covers: its cycle
     may start at any strict pair of the order and take any of its pairs.
+
+    The search is one breadth-first hop table over the components that hold
+    a strict pair, since a shortest path between two points of a component
+    stays inside it. Row u counts the fewest arcs from every point to u, for
+    each upper end u of a strict pair, one level at a time: one float32 0/1
+    product of the frontier with the reversed arcs adds a level (exact, as
+    in `_dilate`).
+    The levels stop at the first one that reaches the lower end v of a
+    strict pair (u, v) in its row: all shortest cycles are equally long, so
+    the least such (u, v) starts the witness, and its path takes at each
+    point the least next point one hop closer to u.
     """
     cond = r.condensation
     if cond.consistent:
         return ConsistencyResult(True, None)
-    adj_lists = [np.flatnonzero(row).tolist() for row in r.arc_matrix]
-    rev_lists = [np.flatnonzero(col).tolist() for col in r.arc_matrix.T]
-    starts = np.nonzero(r.whole_cells(strict=True) & (cond.labels[:, None] == cond.labels[None, :]))
-    cycles = []
-    for u, v in zip(*(side.tolist() for side in starts)):
-        # shortest forward distance to u, by breadth-first search on reversed arcs
-        dist = {u: 0}
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for p in rev_lists[node]:
-                    if p not in dist:
-                        dist[p] = dist[node] + 1
-                        nxt.append(p)
-            frontier = nxt
-        # v reaches u inside their component, so the search always finds it
-        path = [v]
-        cur = v
-        while cur != u:
-            cur = min(w for w in adj_lists[cur] if dist.get(w) == dist[cur] - 1)
-            path.append(cur)
-        cycles.append((u, *path))
-    return ConsistencyResult(False, min(cycles, key=lambda cycle: (len(cycle), cycle)))
+    labels = cond.labels
+    starts = r.whole_cells(strict=True) & (labels[:, None] == labels[None, :])
+    tops = np.flatnonzero(starts.any(axis=1))
+    keep = np.flatnonzero(np.bincount(labels[tops], minlength=cond.num_comps)[labels])
+    starts, arcs = starts[tops[:, None], keep], r.arc_matrix[keep[:, None], keep]
+    hops = np.full(starts.shape, -1, dtype=np.int16)
+    frontier = keep == tops[:, None]
+    reversed_arcs = arcs.T.astype(np.float32)
+    level = 0
+    hops[frontier] = level
+    # every v reaches its u, so some level reaches a start; the first one in row-major order is the least (u, v)
+    while not (frontier & starts).any():
+        level += 1
+        frontier = (frontier.astype(np.float32) @ reversed_arcs > 0.5) & (hops < 0)
+        hops[frontier] = level
+    row, cur = np.unravel_index(np.argmax(frontier & starts), starts.shape)
+    table, path = hops[row], [cur]
+    while table[cur]:
+        cur = np.flatnonzero(arcs[cur] & (table == table[cur] - 1))[0]
+        path.append(cur)
+    return ConsistencyResult(False, (int(tops[row]), *keep[path].tolist()))
 
 
 def _heaviest_paths(num: int, tail: np.ndarray, head: np.ndarray, strict: np.ndarray) -> np.ndarray:

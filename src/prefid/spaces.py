@@ -8,10 +8,11 @@ used for certainty equivalents.
 
 from __future__ import annotations
 
+import itertools
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
@@ -157,11 +158,17 @@ class DenseSubset:
     covering_radius: float
 
 
-def _check_budget(kind: str, num_points: int) -> None:
-    """CapacityError unless the space fits the point budget; every builder
-    calls this before its first (n, n) allocation."""
-    if num_points > _POINT_BUDGET:
-        raise CapacityError(f"a {kind} space of {num_points} points exceeds the budget of {_POINT_BUDGET}")
+def _check_budget(kind: str, factors) -> None:
+    """CapacityError unless the space fits the point budget; every builder calls this before it allocates.
+
+    The point count is the product of the factors, each at least 1. The product stops at the first partial
+    product past the budget, so a descriptor's numbers, however large, are never multiplied out.
+    """
+    count = 1
+    for factor in factors:
+        count *= factor
+        if count > _POINT_BUDGET:
+            raise CapacityError(f"a {kind} space exceeds the budget of {_POINT_BUDGET} points")
 
 
 def _coordinatewise(coords: np.ndarray, compare, combine) -> np.ndarray:
@@ -207,12 +214,12 @@ def make_grid_euclidean(dims: int, resolution: int, bounds) -> OrderedSpace:
     """
     if dims < 1 or resolution < 2:
         raise ConfigurationError("need dims >= 1 and resolution >= 2")
+    _check_budget("euclidean_grid", itertools.repeat(resolution, dims))
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim == 1:
         bounds = np.tile(bounds, (dims, 1))
     if bounds.shape != (dims, 2) or not (bounds[:, 1] > bounds[:, 0]).all():
         raise ConfigurationError("bounds must be nondegenerate intervals, one per dim")
-    _check_budget("euclidean_grid", resolution**dims)
     points = _product(*(np.linspace(lo, hi, resolution) for lo, hi in bounds))
     # equal-coordinates diagonal: level (l, ..., l) for each l
     ratio = (resolution**dims - 1) // (resolution - 1)
@@ -242,7 +249,8 @@ def make_lottery_simplex(num_prizes: int, resolution: int) -> OrderedSpace:
         raise ConfigurationError("need num_prizes >= 2")
     if resolution < 1:
         raise ConfigurationError("need resolution >= 1")
-    _check_budget("lottery_simplex", math.comb(resolution + num_prizes - 1, num_prizes - 1))
+    # comb(resolution + num_prizes - 1, num_prizes - 1) points, a product of factors above 1
+    _check_budget("lottery_simplex", (Fraction(resolution + i, i) for i in range(1, num_prizes)))
     counts = np.array(list(_compositions(resolution, num_prizes)), dtype=int)
     # chain: two-point mixtures of worst and best, worst-heavy first (compositions list the best-heavy first)
     chain = np.flatnonzero(counts[:, 0] + counts[:, -1] == resolution)[::-1]
@@ -258,10 +266,10 @@ def make_dated_rewards(money_resolution: int, time_resolution: int, bounds) -> O
     """
     if money_resolution < 2 or time_resolution < 2:
         raise ConfigurationError("need both resolutions >= 2")
+    _check_budget("dated_rewards", (money_resolution, time_resolution))
     bounds = np.asarray(bounds, dtype=float)
     if bounds.shape != (2, 2) or not (bounds[:, 1] > bounds[:, 0]).all():
         raise ConfigurationError("bounds must be ((money_lo, money_hi), (time_lo, time_hi))")
-    _check_budget("dated_rewards", money_resolution * time_resolution)
     points = _product(np.linspace(*bounds[0], money_resolution), np.linspace(*bounds[1], time_resolution))
     chain = [mi * time_resolution + (time_resolution - 1) for mi in range(money_resolution)]
     chain += [(money_resolution - 1) * time_resolution + ti for ti in range(time_resolution - 2, -1, -1)]
@@ -286,7 +294,7 @@ def make_aa_acts(num_states: int, lottery: OrderedSpace) -> OrderedSpace:
     if lottery.kind != "lottery_simplex":
         raise ConfigurationError("underlying space must be a lottery_simplex")
     m = lottery.num_points
-    _check_budget("aa_acts", m**num_states)
+    _check_budget("aa_acts", itertools.repeat(m, num_states))
     combos = _product(*[np.arange(m)] * num_states)  # one lottery index per state
     points = lottery.points[combos].reshape(len(combos), -1)
     keys = lottery.order_keys[combos].reshape(len(combos), -1)
@@ -315,7 +323,7 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
         raise ConfigurationError("points must be finite numbers, or equal-length nonempty lists of them")
     if points.shape[0] < 2:
         raise ConfigurationError("need at least 2 points")
-    _check_budget("euclidean_points", points.shape[0])
+    _check_budget("euclidean_points", (points.shape[0],))
     distance = _coordinatewise(points, _gap, np.maximum)
     off_diagonal = distance[~np.eye(points.shape[0], dtype=bool)]
     if (off_diagonal == 0).any():

@@ -176,3 +176,38 @@ def naive_transitive_reduction(num, arcs):
         return False
 
     return {(u, v) for u, v in arcs if not any(reaches(w, v) for w in succ[u] if w != v)}
+
+
+def per_start_witness(r):
+    """The witness cycle of an inconsistent revealed relation, or None: one breadth-first search per strict start.
+
+    Starts at every strict pair (u, v) of `whole_cells` inside one component, walks from v back to u by the
+    least next point one hop closer, and keeps the least cycle by (length, cycle).
+    """
+    cond = r.condensation
+    if cond.consistent:
+        return None
+    adj_lists = [np.flatnonzero(row).tolist() for row in r.arc_matrix]
+    rev_lists = [np.flatnonzero(col).tolist() for col in r.arc_matrix.T]
+    starts = np.nonzero(r.whole_cells(strict=True) & (cond.labels[:, None] == cond.labels[None, :]))
+    cycles = []
+    for u, v in zip(*(side.tolist() for side in starts)):
+        # shortest forward distance to u, by breadth-first search on reversed arcs
+        dist = {u: 0}
+        frontier = [u]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for p in rev_lists[node]:
+                    if p not in dist:
+                        dist[p] = dist[node] + 1
+                        nxt.append(p)
+            frontier = nxt
+        # v reaches u inside their component, so the search always finds it
+        path = [v]
+        cur = v
+        while cur != u:
+            cur = min(w for w in adj_lists[cur] if dist.get(w) == dist[cur] - 1)
+            path.append(cur)
+        cycles.append((u, *path))
+    return min(cycles, key=lambda cycle: (len(cycle), cycle))

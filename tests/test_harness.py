@@ -549,6 +549,8 @@ class TestCli:
         pytest.param({"generator": {"formula": "sum", "parms": {}}}, id="generator_misspelled"),
         pytest.param({"generator": {"formula": "coordinate", "params": {"dimm": 1}}}, id="params_misspelled"),
         *[pytest.param({"space": bad.values[0]}, id=bad.id) for bad in BAD_DESCRIPTORS],
+        pytest.param({"space": {"kind": "euclidean_grid", "dims": 1000000, "resolution": 2, "bounds": [0, 1]}},
+                     id="space_of_a_million_dims"),
     ])
     def test_run_malformed_config_exits_2(self, tmp_path, capsys, change):
         config = tmp_path / "config.json"

@@ -8,6 +8,7 @@ replays data by hand, so it shares no code with the library paths.
 import itertools
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -63,7 +64,14 @@ from prefid.rationalize import (
     sample_extension,
 )
 
-from conftest import brute_graph_distance, dataset, full_arc_walk, longest_path_ranks, naive_transitive_reduction
+from conftest import (
+    brute_graph_distance,
+    dataset,
+    full_arc_walk,
+    longest_path_ranks,
+    naive_transitive_reduction,
+    per_start_witness,
+)
 
 
 def naive_preorders(n):
@@ -88,13 +96,15 @@ def naive_replay(row, e, c):
     return True
 
 
-def draw_tiled_data(data, max_line):
-    """Hypothesis-drawn choices on a line of at most max_line points or a 2x2 grid, plus a monotone class.
+def draw_tiled_data(data, max_line, g=None):
+    """Hypothesis-drawn choices on the space g, or else on a line of at most max_line points or a 2x2 grid,
+    plus a monotone class.
 
     The schedule may run twice, so comparisons are revealed again; the picks are free, so they may contradict.
     """
-    dims = data.draw(st.integers(1, 2))
-    g = make_grid_euclidean(dims, data.draw(st.integers(2, max_line if dims == 1 else 2)), (0.0, 1.0))
+    if g is None:
+        dims = data.draw(st.integers(1, 2))
+        g = make_grid_euclidean(dims, data.draw(st.integers(2, max_line if dims == 1 else 2)), (0.0, 1.0))
     mode = data.draw(st.sampled_from(["strong", "weak"]))
     monotone = data.draw(st.sampled_from(["none", "weak", "strict"]))
     members = data.draw(st.lists(st.integers(0, g.num_points - 1), min_size=2, max_size=g.num_points, unique=True))
@@ -511,10 +521,36 @@ def _draw_monotone_space(data):
         return make_dated_rewards(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 4)), ((0.0, 1.0), (0.0, 1.0)))
     if kind == "acts":
         return make_aa_acts(2, make_lottery_simplex(data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2))))
+    return _draw_tied_space(data)
+
+
+def _draw_tied_space(data):
+    """A hand-built space of 3 to 9 points whose order keys may tie."""
     n = data.draw(st.integers(3, 9))
     keys = np.array(data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=n, max_size=n)))
     tied_kind = data.draw(st.sampled_from(["euclidean_points", "dated_rewards"]))
     return OrderedSpace(tied_kind, np.arange(n, dtype=float)[:, None], keys, (), 1.0, {"kind": tied_kind})
+
+
+def _draw_small_space(data):
+    """A space of at most 9 points of any kind, a scattered point set, or a hand-built one with tied order keys."""
+    kind = data.draw(st.sampled_from(["grid", "lottery", "dated", "acts", "points", "tied"]))
+    if kind == "grid":
+        dims = data.draw(st.integers(1, 3))
+        return make_grid_euclidean(dims, data.draw(st.integers(2, {1: 9, 2: 3, 3: 2}[dims])), (0.0, 1.0))
+    if kind == "lottery":
+        num_prizes, resolution = data.draw(st.sampled_from([(2, 1), (2, 4), (2, 8), (3, 1), (3, 2), (4, 1), (5, 1)]))
+        return make_lottery_simplex(num_prizes, resolution)
+    if kind == "dated":
+        money = data.draw(st.integers(2, 4))
+        return make_dated_rewards(money, data.draw(st.integers(2, 9 // money)), ((0.0, 1.0), (0.0, 1.0)))
+    if kind == "acts":
+        num_states, resolution = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
+        return make_aa_acts(num_states, make_lottery_simplex(2, resolution))
+    if kind == "points":
+        coords = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        return from_points(np.array(data.draw(st.lists(coords, min_size=2, max_size=9, unique=True)), dtype=float))
+    return _draw_tied_space(data)
 
 
 class TestMonotoneCovers:
@@ -557,6 +593,35 @@ class TestMonotoneCovers:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         policy_class = {"weak": "weak_monotone", "strict": "strict_monotone"}[monotone]
         assert _relation_diameter(r, policy_class, 12, seed) == _relation_diameter(oracle, policy_class, 12, seed)
+
+
+class TestWitness:
+    """The hop-table witness against one breadth-first search per strict start."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_witness_matches_per_start_search(self, data):
+        space = _draw_small_space(data)
+        e, c, monotone = draw_tiled_data(data, 9, space)
+        # a drawn loop of picks, each point chosen over the next, closes long cycles; free picks follow it
+        loop = data.draw(st.lists(st.integers(0, len(space) - 1), min_size=2, max_size=len(space), unique=True))
+        k = data.draw(st.integers(0, len(e)))
+        pairs = np.vstack([np.column_stack([loop, np.roll(loop, -1)]), e.pair_array[:k]])
+        chose = np.vstack([np.tile([True, False], (len(loop), 1)), c.chose_mask[:k]])
+        e = ExperimentSequence(space, e.B, pairs)
+        r = revealed_relation(e, ChoiceSequence(e, chose, c.mode), c.mode, monotone=monotone)
+        assert check_consistency(r).witness == per_start_witness(r)
+
+    def test_corner_over_corner_on_a_strict_grid(self):
+        # the whole 16x16 grid is one component: one search per strict start took 12.7 s here
+        space = make_grid_euclidean(2, 16, (0.0, 1.0))
+        e, c = dataset(space, [(0, 255, (0,))], "strong")
+        r = revealed_relation(e, c, "strong", monotone="strict")
+        start = time.perf_counter()
+        witness = check_consistency(r).witness
+        elapsed = time.perf_counter() - start
+        assert witness == (0, 255, 0)
+        assert elapsed < 2.0, f"{elapsed:.2f}s"
 
 
 class TestSeededGolden:

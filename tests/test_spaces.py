@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -189,6 +190,23 @@ def test_point_budget_caps_every_builder(monkeypatch, desc):
     monkeypatch.setattr(prefid.spaces, "_POINT_BUDGET", 14)
     with pytest.raises(CapacityError):
         space_from_descriptor(desc)
+
+
+@pytest.mark.parametrize("desc", [
+    pytest.param({"kind": "lottery_simplex", "num_prizes": 10000, "resolution": 10000}, id="lottery_10000_prizes"),
+    pytest.param({"kind": "lottery_simplex", "num_prizes": 1000001, "resolution": 1000000},
+                 id="lottery_1000001_prizes"),
+    pytest.param({"kind": "euclidean_grid", "dims": 20000, "resolution": 2, "bounds": [0.0, 1.0]}, id="grid_20000_dims"),
+    pytest.param({"kind": "euclidean_grid", "dims": 1000000, "resolution": 2, "bounds": [0.0, 1.0]},
+                 id="grid_1000000_dims"),
+    pytest.param({"kind": "aa_acts", "num_prizes": 2, "resolution": 1, "num_states": 20000}, id="acts_20000_states"),
+])
+def test_oversized_descriptor_fails_at_once(desc):
+    # the point count of such a descriptor has thousands of digits: it is neither computed nor printed
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="exceeds the budget of 4096 points"):
+        space_from_descriptor(desc)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_point_space_keeps_its_distance_matrix():
