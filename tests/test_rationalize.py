@@ -10,6 +10,7 @@ import json
 import math
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -509,48 +510,35 @@ def whole_order_relation(r, monotone):
     return RevealedRelation(space, *(np.concatenate(column) for column in zip(*columns)))
 
 
-def _draw_monotone_space(data):
-    """A small space of any kind, or a hand-built one with tied order keys."""
-    kind = data.draw(st.sampled_from(["grid", "lottery", "dated", "acts", "tied"]))
+def _draw_monotone_space(data, max_points=36):
+    """A space of at most max_points points: a small one of any kind, a scattered point set, or a hand-built one
+    with tied order keys."""
+    kind = data.draw(st.sampled_from(["grid", "lottery", "dated", "acts", "points", "tied"]))
     if kind == "grid":
-        dims = data.draw(st.integers(1, 3))
-        return make_grid_euclidean(dims, data.draw(st.integers(2, {1: 9, 2: 5, 3: 3}[dims])), (0.0, 1.0))
+        shapes = [(dims, side) for dims, top in ((1, 9), (2, 5), (3, 3)) for side in range(2, top + 1)]
+        dims, side = data.draw(st.sampled_from([(d, k) for d, k in shapes if k**d <= max_points]))
+        return make_grid_euclidean(dims, side, (0.0, 1.0))
     if kind == "lottery":
-        return make_lottery_simplex(data.draw(st.integers(3, 4)), data.draw(st.integers(1, 4)))
+        shapes = [(prizes, k) for prizes in range(2, 6) for k in range(1, 9)]
+        shapes = [(prizes, k) for prizes, k in shapes if math.comb(k + prizes - 1, k) <= max_points]
+        return make_lottery_simplex(*data.draw(st.sampled_from(shapes)))
     if kind == "dated":
-        return make_dated_rewards(data.draw(st.integers(2, 5)), data.draw(st.integers(2, 4)), ((0.0, 1.0), (0.0, 1.0)))
+        shapes = [(money, dates) for money in range(2, 6) for dates in range(2, 5) if money * dates <= max_points]
+        money, dates = data.draw(st.sampled_from(shapes))
+        return make_dated_rewards(money, dates, ((0.0, 1.0), (0.0, 1.0)))
     if kind == "acts":
-        return make_aa_acts(2, make_lottery_simplex(data.draw(st.integers(2, 3)), data.draw(st.integers(1, 2))))
-    return _draw_tied_space(data)
-
-
-def _draw_tied_space(data):
-    """A hand-built space of 3 to 9 points whose order keys may tie."""
-    n = data.draw(st.integers(3, 9))
+        shapes = [(states, prizes, k) for states in (2, 3) for prizes in (2, 3) for k in (1, 2)]
+        shapes = [(s, prizes, k) for s, prizes, k in shapes if math.comb(k + prizes - 1, k) ** s <= max_points]
+        states, prizes, k = data.draw(st.sampled_from(shapes))
+        return make_aa_acts(states, make_lottery_simplex(prizes, k))
+    if kind == "points":
+        coords = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        points = st.lists(coords, min_size=2, max_size=min(9, max_points), unique=True)
+        return from_points(np.array(data.draw(points), dtype=float))
+    n = data.draw(st.integers(3, min(9, max_points)))
     keys = np.array(data.draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)), min_size=n, max_size=n)))
     tied_kind = data.draw(st.sampled_from(["euclidean_points", "dated_rewards"]))
     return OrderedSpace(tied_kind, np.arange(n, dtype=float)[:, None], keys, (), 1.0, {"kind": tied_kind})
-
-
-def _draw_small_space(data):
-    """A space of at most 9 points of any kind, a scattered point set, or a hand-built one with tied order keys."""
-    kind = data.draw(st.sampled_from(["grid", "lottery", "dated", "acts", "points", "tied"]))
-    if kind == "grid":
-        dims = data.draw(st.integers(1, 3))
-        return make_grid_euclidean(dims, data.draw(st.integers(2, {1: 9, 2: 3, 3: 2}[dims])), (0.0, 1.0))
-    if kind == "lottery":
-        num_prizes, resolution = data.draw(st.sampled_from([(2, 1), (2, 4), (2, 8), (3, 1), (3, 2), (4, 1), (5, 1)]))
-        return make_lottery_simplex(num_prizes, resolution)
-    if kind == "dated":
-        money = data.draw(st.integers(2, 4))
-        return make_dated_rewards(money, data.draw(st.integers(2, 9 // money)), ((0.0, 1.0), (0.0, 1.0)))
-    if kind == "acts":
-        num_states, resolution = data.draw(st.sampled_from([(2, 1), (2, 2), (3, 1)]))
-        return make_aa_acts(num_states, make_lottery_simplex(2, resolution))
-    if kind == "points":
-        coords = st.tuples(st.integers(0, 3), st.integers(0, 3))
-        return from_points(np.array(data.draw(st.lists(coords, min_size=2, max_size=9, unique=True)), dtype=float))
-    return _draw_tied_space(data)
 
 
 class TestMonotoneCovers:
@@ -598,10 +586,11 @@ class TestMonotoneCovers:
 class TestWitness:
     """The hop-table witness against one breadth-first search per strict start."""
 
+    @pytest.mark.parametrize("speedup", [0, 10**9], ids=["sparse_levels", "dense_levels"])
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_witness_matches_per_start_search(self, data):
-        space = _draw_small_space(data)
+    def test_witness_matches_per_start_search(self, speedup, data):
+        space = _draw_monotone_space(data, max_points=9)
         e, c, monotone = draw_tiled_data(data, 9, space)
         # a drawn loop of picks, each point chosen over the next, closes long cycles; free picks follow it
         loop = data.draw(st.lists(st.integers(0, len(space) - 1), min_size=2, max_size=len(space), unique=True))
@@ -610,10 +599,13 @@ class TestWitness:
         chose = np.vstack([np.tile([True, False], (len(loop), 1)), c.chose_mask[:k]])
         e = ExperimentSequence(space, e.B, pairs)
         r = revealed_relation(e, ChoiceSequence(e, chose, c.mode), c.mode, monotone=monotone)
-        assert check_consistency(r).witness == per_start_witness(r)
+        # every level takes the sparse product, or every level the dense one
+        with mock.patch.object(rationalize_module, "_DENSE_SPEEDUP", speedup):
+            witness = check_consistency(r).witness
+        assert witness == per_start_witness(r)
 
     def test_corner_over_corner_on_a_strict_grid(self):
-        # the whole 16x16 grid is one component: one search per strict start took 12.7 s here
+        # the whole 16x16 grid is one component: one search per strict start takes about 13 s on a 2-CPU x86 host
         space = make_grid_euclidean(2, 16, (0.0, 1.0))
         e, c = dataset(space, [(0, 255, (0,))], "strong")
         r = revealed_relation(e, c, "strong", monotone="strict")
@@ -622,6 +614,24 @@ class TestWitness:
         elapsed = time.perf_counter() - start
         assert witness == (0, 255, 0)
         assert elapsed < 2.0, f"{elapsed:.2f}s"
+
+    def test_strict_cycle_through_the_whole_grid(self):
+        # every point starts a strict pair and the witness takes 576 arcs: on a 2-CPU x86 host one search per
+        # start takes about 0.5 s, and a dense product per level about 2 s
+        space = make_grid_euclidean(2, 24, (0.0, 1.0))
+        e, c = dataset(space, [(i, (i + 1) % 576, (i,)) for i in range(576)], "strong")
+        r = revealed_relation(e, c, "strong")
+        start = time.perf_counter()
+        witness = check_consistency(r).witness
+        elapsed = time.perf_counter() - start
+        assert witness == (*range(576), 0)
+        assert elapsed < 0.25, f"{elapsed:.2f}s"
+
+    def test_one_strict_pick_closes_a_chain_of_indifferences(self):
+        space = make_grid_euclidean(2, 24, (0.0, 1.0))
+        rows = [(i, i + 1, (i, i + 1)) for i in range(575)] + [(575, 0, (575,))]
+        e, c = dataset(space, rows, "strong")
+        assert check_consistency(revealed_relation(e, c, "strong")).witness == (575, *range(576))
 
 
 class TestSeededGolden:
