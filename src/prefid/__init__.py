@@ -5,176 +5,28 @@ experiments, rationalization machinery (consistency, extensions,
 adversarial constructions, parametric fits, diameter of the
 rationalization set), chain-anchored utilities, and a seeded experiment
 harness with a counterexample gallery.
+
+The public API is `__version__` and the names in the `__all__` list of
+each module below; the package re-exports exactly those.
 """
 
+from . import errors, experiments, harness, preferences, rationalize, spaces, utility
 from ._version import __version__
-from .errors import (
-    CapacityError,
-    ConfigurationError,
-    DomainError,
-    PreconditionError,
-    PrefidError,
-    ResolutionError,
-)
-from .experiments import (
-    STRONG,
-    WEAK,
-    ChoiceSequence,
-    ExperimentSequence,
-    choices_from_csv,
-    choices_to_csv,
-    enumerate_pairs,
-    generate_choices,
-    restrict,
-)
-from .harness import (
-    ConvergenceReport,
-    ExperimentConfig,
-    GALLERY_ITEMS,
-    ReportRow,
-    default_checkpoints,
-    emit_report,
-    generator_values,
-    parse_report_csv,
-    report_fingerprint,
-    report_to_csv,
-    report_to_json,
-    run_convergence,
-    run_gallery,
-)
-from .preferences import (
-    BinaryRelation,
-    Preference,
-    closed_convergence_distance,
-    from_utility,
-    is_locally_strict,
-    is_quasitransitive,
-    is_strictly_monotone,
-    is_weakly_monotone,
-    li_ls_limit,
-    total_indifference,
-)
-from .rationalize import (
-    ConsistencyResult,
-    DiameterResult,
-    EuResult,
-    LipschitzResult,
-    RationalizationPolicy,
-    RevealedEdge,
-    RevealedRelation,
-    adversarial_far_extension,
-    all_total_preorders,
-    brute_force_rationalizations,
-    check_consistency,
-    diameter_estimate,
-    eu_preference,
-    eu_rationalize,
-    extend_preference,
-    indifference_construction,
-    lipschitz_rationalize,
-    rationalizes,
-    result_to_json,
-    revealed_relation,
-    sample_extension,
-)
-from .spaces import (
-    DenseSubset,
-    OrderedSpace,
-    dense_subset,
-    from_points,
-    make_aa_acts,
-    make_dated_rewards,
-    make_grid_euclidean,
-    make_lottery_simplex,
-    order_bracketing_radius,
-    same_space,
-    space_from_descriptor,
-)
-from .utility import (
-    UtilityFunction,
-    certainty_equivalent_utility,
-    chain_base,
-    chain_step_bound,
-    max_norm_distance,
-    ordinal_equivalent,
-)
+from .errors import *
+from .experiments import *
+from .harness import *
+from .preferences import *
+from .rationalize import *
+from .spaces import *
+from .utility import *
 
 __all__ = [
     "__version__",
-    "PrefidError",
-    "ConfigurationError",
-    "DomainError",
-    "CapacityError",
-    "ResolutionError",
-    "PreconditionError",
-    "OrderedSpace",
-    "DenseSubset",
-    "make_grid_euclidean",
-    "make_lottery_simplex",
-    "make_dated_rewards",
-    "make_aa_acts",
-    "from_points",
-    "dense_subset",
-    "order_bracketing_radius",
-    "space_from_descriptor",
-    "Preference",
-    "BinaryRelation",
-    "same_space",
-    "from_utility",
-    "total_indifference",
-    "is_weakly_monotone",
-    "is_strictly_monotone",
-    "is_locally_strict",
-    "is_quasitransitive",
-    "closed_convergence_distance",
-    "li_ls_limit",
-    "STRONG",
-    "WEAK",
-    "ExperimentSequence",
-    "ChoiceSequence",
-    "enumerate_pairs",
-    "generate_choices",
-    "restrict",
-    "choices_to_csv",
-    "choices_from_csv",
-    "RevealedEdge",
-    "RevealedRelation",
-    "RationalizationPolicy",
-    "ConsistencyResult",
-    "revealed_relation",
-    "check_consistency",
-    "extend_preference",
-    "adversarial_far_extension",
-    "sample_extension",
-    "indifference_construction",
-    "eu_rationalize",
-    "eu_preference",
-    "lipschitz_rationalize",
-    "diameter_estimate",
-    "DiameterResult",
-    "EuResult",
-    "LipschitzResult",
-    "rationalizes",
-    "all_total_preorders",
-    "brute_force_rationalizations",
-    "result_to_json",
-    "UtilityFunction",
-    "chain_base",
-    "certainty_equivalent_utility",
-    "chain_step_bound",
-    "ordinal_equivalent",
-    "max_norm_distance",
-    "ExperimentConfig",
-    "ReportRow",
-    "ConvergenceReport",
-    "generator_values",
-    "run_convergence",
-    "run_gallery",
-    "GALLERY_ITEMS",
-    "emit_report",
-    "parse_report_csv",
-    "report_fingerprint",
-    "report_to_csv",
-    "report_to_json",
-    "default_checkpoints",
+    *errors.__all__,
+    *spaces.__all__,
+    *preferences.__all__,
+    *experiments.__all__,
+    *rationalize.__all__,
+    *utility.__all__,
+    *harness.__all__,
 ]

@@ -1,5 +1,14 @@
 """Exception types shared across the library."""
 
+__all__ = [
+    "PrefidError",
+    "ConfigurationError",
+    "DomainError",
+    "CapacityError",
+    "ResolutionError",
+    "PreconditionError",
+]
+
 
 class PrefidError(Exception):
     """Base class for library errors."""

@@ -25,6 +25,8 @@ from .preferences import Preference
 from .spaces import DenseSubset, OrderedSpace, _frozen, dense_subset
 
 __all__ = [
+    "STRONG",
+    "WEAK",
     "ExperimentSequence",
     "ChoiceSequence",
     "enumerate_pairs",

@@ -70,6 +70,8 @@ __all__ = [
     "emit_report",
     "parse_report_csv",
     "report_fingerprint",
+    "report_to_csv",
+    "report_to_json",
     "default_checkpoints",
 ]
 
@@ -131,7 +133,6 @@ _SECTIONS = {
     "subset": (_defaults(dense_subset), {"stride": 1}, ()),
     "diameter": (dict(_defaults(diameter_estimate), policy_class=None), {"num_samples": 0, "seed": 0}, None),
 }
-_CONFIG_KEYS = {"space", "generator", "mode", "tie_policy", "k_grid", "utility_distance", "output_dir", *_SECTIONS}
 
 
 def _filled(where: str, section, defaults: dict, ints: dict) -> dict:
@@ -228,12 +229,11 @@ class ExperimentConfig:
                                 utility_distance=utility_distance, output_dir=output_dir, written=written, **sections)
 
     @staticmethod
-    def from_json(text_or_path: str) -> "ExperimentConfig":
-        if os.path.exists(text_or_path):
-            with open(text_or_path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = text_or_path
+    def from_json(path: str) -> "ExperimentConfig":
+        """The config in the JSON file at `path`; OSError if it cannot be read, ConfigurationError if it is not
+        a JSON object. A caller holding JSON text passes `json.loads(text)` to `from_dict`."""
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as err:
@@ -256,6 +256,9 @@ class ExperimentConfig:
 
     def rationalization_policy(self, target: Preference | None = None) -> RationalizationPolicy:
         return RationalizationPolicy(**dict(self.policy, target=target))
+
+
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"written"}  # the keys a run config may hold
 
 
 def default_checkpoints(total: int) -> tuple[int, ...]:
@@ -358,8 +361,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         delta = distance_to_gen(pref)
         diam = None
         if dcfg is not None:
-            diam = _relation_diameter(relations[dmonotone], dcfg["policy_class"], dcfg["num_samples"],
-                                      dcfg["seed"]).value
+            diam = _relation_diameter(relations[dmonotone], dcfg["num_samples"], dcfg["seed"]).value
         udist = None
         if u_star is not None:
             try:

@@ -880,7 +880,7 @@ def diameter_estimate(
     unknown policy class, and PreconditionError for inconsistent data.
     """
     r = revealed_relation(e, c, c.mode, monotone=_diameter_monotone(policy_class, num_samples, seed))
-    return _relation_diameter(r, policy_class, num_samples, seed)
+    return _relation_diameter(r, num_samples, seed)
 
 
 def _diameter_monotone(policy_class: str, num_samples: int, seed: int) -> str:
@@ -894,15 +894,16 @@ def _diameter_monotone(policy_class: str, num_samples: int, seed: int) -> str:
     return _POLICY_CLASSES[policy_class]
 
 
-def _relation_diameter(r: RevealedRelation, policy_class: str, num_samples: int, seed: int) -> DiameterResult:
-    """`diameter_estimate` of the data whose revealed relation, under the class's monotone edges, is r.
+def _relation_diameter(r: RevealedRelation, num_samples: int, seed: int) -> DiameterResult:
+    """`diameter_estimate` of the data whose revealed relation, under a policy class's monotone edges, is r.
 
-    The exact branch keeps the table's rows, already distinct and sorted, and checks consistency only when
-    none replays: consistent data always keeps its canonical extension.
+    r's monotone class names the policy class, "none" the class "all". The exact branch keeps the table's rows,
+    already distinct and sorted, and checks consistency only when none replays: consistent data always keeps its
+    canonical extension.
     """
     space = r.space
     n = space.num_points
-    if policy_class == "all" and n <= 8:
+    if r.monotone == "none" and n <= 8:
         table = _preorder_table(n)
         ranks = table[_replay_mask(table, r)]
         if not len(ranks):

@@ -9,7 +9,6 @@ used for certainty equivalents.
 from __future__ import annotations
 
 import itertools
-import json
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,6 +29,7 @@ __all__ = [
     "from_points",
     "dense_subset",
     "order_bracketing_radius",
+    "same_space",
     "space_from_descriptor",
 ]
 
@@ -229,14 +229,16 @@ def make_grid_euclidean(dims: int, resolution: int, bounds) -> OrderedSpace:
     return OrderedSpace("euclidean_grid", points, points, chain, step, desc)
 
 
-def _compositions(total: int, parts: int):
-    # all nonnegative integer vectors of given length summing to total
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every vector of parts >= 2 nonnegative integers summing to total, one per row, largest first entry first.
+
+    Stars and bars: a row is the gaps between parts - 1 bars placed among total + parts - 1 slots. The
+    bar positions come in ascending lexicographic order, so reversed they give the rows in descending order.
+    """
+    slots = total + parts - 1
+    bars = itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1))
+    bars = np.fromiter(bars, dtype=np.int64).reshape(-1, parts - 1)[::-1]
+    return np.diff(np.pad(bars, ((0, 0), (1, 1)), constant_values=(-1, slots)), axis=1) - 1
 
 
 def make_lottery_simplex(num_prizes: int, resolution: int) -> OrderedSpace:
@@ -251,7 +253,7 @@ def make_lottery_simplex(num_prizes: int, resolution: int) -> OrderedSpace:
         raise ConfigurationError("need resolution >= 1")
     # comb(resolution + num_prizes - 1, num_prizes - 1) points, a product of factors above 1
     _check_budget("lottery_simplex", (Fraction(resolution + i, i) for i in range(1, num_prizes)))
-    counts = np.array(list(_compositions(resolution, num_prizes)), dtype=int)
+    counts = _compositions(resolution, num_prizes)
     # chain: two-point mixtures of worst and best, worst-heavy first (compositions list the best-heavy first)
     chain = np.flatnonzero(counts[:, 0] + counts[:, -1] == resolution)[::-1]
     desc = {"kind": "lottery_simplex", "num_prizes": num_prizes, "resolution": resolution}
@@ -387,10 +389,11 @@ def _int_field(where: str, value, minimum: int | None = None) -> int:
     return int(value)
 
 
-def space_from_descriptor(desc: dict | str) -> OrderedSpace:
-    """Rebuild a space from its descriptor (dict or JSON text)."""
-    if isinstance(desc, str):
-        desc = json.loads(desc)
+def space_from_descriptor(desc: dict) -> OrderedSpace:
+    """Rebuild a space from its descriptor, a dict such as `OrderedSpace.descriptor`.
+
+    Anything but a dict, such as JSON text, raises ConfigurationError: a caller holding a file parses it.
+    """
     if not isinstance(desc, dict):
         raise ConfigurationError("a space descriptor must be a JSON object")
     try:

@@ -56,24 +56,19 @@ class UtilityFunction:
 
 
 def _resolve_base(space: OrderedSpace, base) -> np.ndarray:
-    """Base values along the chain from a callable, dict, array, or UtilityFunction."""
+    """Base values along the chain: an array with one value per chain element, or a UtilityFunction on the
+    space read at the chain's points. DomainError for a wrong length or a utility on another space."""
     chain = space.chain
     if not chain:
         raise ConfigurationError("space has no reference chain")
     if isinstance(base, UtilityFunction):
-        vals = [base(i) for i in chain]
-    elif callable(base):
-        vals = [float(base(space.points[i])) for i in chain]
-    elif isinstance(base, dict):
-        try:
-            vals = [float(base[i]) for i in chain]
-        except KeyError as missing:
-            raise DomainError(f"base is missing chain index {missing}") from None
+        if not same_space(base.space, space):
+            raise DomainError("the base utility lives on another space")
+        arr = base.values[list(chain)]
     else:
-        vals = [float(v) for v in np.asarray(base, dtype=float)]
-        if len(vals) != len(chain):
+        arr = np.asarray(base, dtype=float)
+        if arr.shape != (len(chain),):
             raise DomainError("base array must have one value per chain element")
-    arr = np.asarray(vals, dtype=float)
     if not (np.diff(arr) > 0).all():
         raise PreconditionError("base must be strictly increasing along the chain")
     return arr
@@ -90,6 +85,8 @@ def chain_base(space: OrderedSpace) -> np.ndarray:
 def certainty_equivalent_utility(p: Preference, base) -> UtilityFunction:
     """Utility of x = base value of the least chain element weakly above x.
 
+    `base` is an array of base values, one per chain element and strictly
+    increasing, or a UtilityFunction on p's space read at the chain's points.
     Requires a weakly and strictly monotone preference so every point is
     bracketed by the chain and chain ranks increase strictly. The result
     represents a preference within one chain step of p, exactly on points
@@ -111,6 +108,9 @@ def certainty_equivalent_utility(p: Preference, base) -> UtilityFunction:
 def chain_step_bound(space: OrderedSpace, base) -> float:
     """Largest base gap between consecutive chain elements.
 
+    `base` takes the same two forms as in `certainty_equivalent_utility`:
+    an increasing array along the chain, or a UtilityFunction on the space.
+
     This is the per-instance error radius of the chain selection: matching
     preferences yield utilities within this bound of the base's extension.
     """
@@ -128,15 +128,9 @@ def ordinal_equivalent(u: UtilityFunction, v: UtilityFunction) -> bool:
     return u.preference() == v.preference()
 
 
-def max_norm_distance(u: UtilityFunction, v: UtilityFunction, region=None) -> float:
-    """Max of |u - v| over the region (default: the whole space)."""
+def max_norm_distance(u: UtilityFunction, v: UtilityFunction) -> float:
+    """Max of |u - v| over every point of the space the two utilities share."""
     if not same_space(u.space, v.space):
         raise DomainError("utilities live on different spaces")
-    gap = np.abs(u.values - v.values)
-    if region is not None:
-        idx = np.asarray(list(region), dtype=int)
-        if idx.size == 0:
-            raise DomainError("empty region")
-        gap = gap[idx]
-    return float(gap.max())
+    return float(np.abs(u.values - v.values).max())
 

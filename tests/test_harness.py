@@ -108,18 +108,24 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(dict(BASE_CONFIG, k_grid=[]))
 
     def test_from_json_text_and_path(self, tmp_path):
+        # the file's JSON text, parsed, is the config its path names
         text = json.dumps(BASE_CONFIG)
-        from_text = ExperimentConfig.from_json(text)
         path = tmp_path / "config.json"
         path.write_text(text)
         from_path = ExperimentConfig.from_json(str(path))
-        assert from_text.config_hash() == from_path.config_hash()
+        assert from_path.config_hash() == ExperimentConfig.from_dict(json.loads(text)).config_hash()
 
-    def test_from_json_rejects_garbage(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_json("{not json")
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig.from_json("[1, 2]")
+    def test_from_json_rejects_garbage(self, tmp_path):
+        for name, text in (("broken.json", "{not json"), ("list.json", "[1, 2]")):
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ConfigurationError):
+                ExperimentConfig.from_json(str(path))
+
+    def test_from_json_reads_only_a_path(self):
+        # JSON text is not sniffed: it names no file
+        with pytest.raises(FileNotFoundError):
+            ExperimentConfig.from_json(json.dumps(BASE_CONFIG))
 
     def test_hash_is_stable_and_sensitive(self):
         cfg = ExperimentConfig.from_dict(dict(BASE_CONFIG))
@@ -479,6 +485,17 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_check_on_1500_prizes_exits_0(self, tmp_path, capsys):
+        # 1,500 one-prize lotteries: the space builds without one recursion level per prize
+        space = tmp_path / "lottery.json"
+        space.write_text(json.dumps({"kind": "lottery_simplex", "num_prizes": 1500, "resolution": 1}))
+        data = tmp_path / "choices.csv"
+        data.write_text(CSV_HEADER + "1,0,1,0,1\n")
+        code = main(["check", "--data", str(data), "--space", str(space), "--mode", "strong"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["ranks"]) == 1500 and doc["ranks"][:2] == [0, 1]
+
     def test_space_over_point_budget_exits_2(self, cli_space, cli_choices, capsys, monkeypatch):
         monkeypatch.setattr(prefid.spaces, "_POINT_BUDGET", 4)  # the line has 5 points
         code = main(["check", "--data", cli_choices, "--space", cli_space, "--mode", "strong"])
@@ -513,6 +530,12 @@ class TestCli:
         assert (out / "report.json").exists()
         stdout = capsys.readouterr().out
         assert "k=36 delta_c=0 consistent=true" in stdout
+
+    def test_run_missing_config_exits_2_naming_the_file(self, tmp_path, capsys):
+        code = main(["run", "--config", str(tmp_path / "absent.json")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "absent.json" in err and "JSON" not in err
 
     def test_run_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -21,7 +21,7 @@ from prefid import (
     space_from_descriptor,
 )
 from prefid.errors import CapacityError, ConfigurationError, DomainError
-from prefid.spaces import _EPS
+from prefid.spaces import _EPS, _compositions
 
 
 def naive_dominance(points):
@@ -285,6 +285,19 @@ class TestLotterySimplex:
         assert np.allclose(worst, [0.0, 0.0, 1.0])
         assert np.allclose(best, [1.0, 0.0, 0.0])
 
+    def test_compositions_match_recursive_generator(self):
+        def recursive(total, parts):
+            if parts == 1:
+                yield (total,)
+                return
+            for head in range(total, -1, -1):
+                for rest in recursive(total - head, parts - 1):
+                    yield (head,) + rest
+
+        for total in range(8):
+            for parts in range(2, 6):
+                assert _compositions(total, parts).tolist() == [list(row) for row in recursive(total, parts)]
+
 
 class TestFosdCompare:
     def test_frozen_verdicts(self):
@@ -365,6 +378,10 @@ class TestDescriptors:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
             space_from_descriptor({"kind": "mystery"})
+
+    def test_json_text_rejected(self):
+        with pytest.raises(ConfigurationError, match="must be a JSON object"):
+            space_from_descriptor('{"kind": "lottery_simplex", "num_prizes": 3, "resolution": 4}')
 
 
 class TestDenseSubset:

@@ -67,16 +67,22 @@ class TestChainBase:
         with pytest.raises(PreconditionError):
             chain_step_bound(grid3, [0.0, 0.5, 0.5])
 
-    def test_base_dict_and_array_forms(self, grid3):
-        assert chain_step_bound(grid3, {0: 0.0, 4: 0.3, 8: 1.0}) == 0.7
-        with pytest.raises(DomainError):
-            chain_step_bound(grid3, {0: 0.0, 8: 1.0})
+    def test_base_array_needs_one_value_per_chain_element(self, grid3):
         with pytest.raises(DomainError):
             chain_step_bound(grid3, [0.0, 1.0])
+        with pytest.raises(DomainError):
+            chain_step_bound(grid3, [[0.0, 0.5, 1.0]])
 
-    def test_base_callable_form(self, grid3):
-        # evaluated at the chain points (0,0), (.5,.5), (1,1)
-        assert chain_step_bound(grid3, lambda x: x.sum()) == 1.0
+    def test_base_utility_is_read_at_the_chain_of_its_own_space(self, grid3):
+        # the chain points (0,0), (.5,.5), (1,1) have sums 0, 1, 2
+        assert chain_step_bound(grid3, UtilityFunction(grid3, grid3.points.sum(axis=1))) == 1.0
+        grid4 = make_grid_euclidean(2, 4, (0.0, 1.0))
+        u = UtilityFunction(grid4, grid4.points.sum(axis=1))
+        p = from_utility(grid3, grid3.points.sum(axis=1))
+        with pytest.raises(DomainError, match="another space"):
+            certainty_equivalent_utility(p, u)
+        with pytest.raises(DomainError, match="another space"):
+            chain_step_bound(grid3, u)
 
 
 class TestCertaintyEquivalent:
@@ -155,16 +161,7 @@ class TestMaxNorm:
         v = UtilityFunction(grid3, np.arange(9.0) + np.linspace(0.0, 0.8, 9))
         assert abs(max_norm_distance(u, v) - 0.8) < 1e-12
 
-    def test_region_restriction(self, grid3):
-        gap = np.zeros(9)
-        gap[7] = 5.0
-        u = UtilityFunction(grid3, np.arange(9.0))
-        v = UtilityFunction(grid3, np.arange(9.0) + gap)
-        assert max_norm_distance(u, v, region=[0, 1, 2]) == 0.0
-        assert max_norm_distance(u, v, region=[7]) == 5.0
-
-    def test_empty_region_rejected(self, grid3):
-        u = UtilityFunction(grid3, np.arange(9.0))
+    def test_different_spaces_rejected(self, grid3, line5):
         with pytest.raises(DomainError):
-            max_norm_distance(u, u, region=[])
+            max_norm_distance(UtilityFunction(grid3, np.arange(9.0)), UtilityFunction(line5, np.arange(5.0)))
 
