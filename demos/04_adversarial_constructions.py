@@ -7,8 +7,6 @@ vivid: one stays as close to total indifference as the data allows, the
 other runs as far from a target as a random search can get.
 """
 
-import numpy as np
-
 from prefid import (
     adversarial_far_extension,
     closed_convergence_distance,

@@ -11,9 +11,10 @@ import json
 import sys
 
 from .errors import CapacityError, ConfigurationError, DomainError, PreconditionError, ResolutionError
-from .experiments import choices_from_csv
+from .experiments import STRONG, WEAK, choices_from_csv
 from .harness import GALLERY_ITEMS, ExperimentConfig, _defaults, emit_report, run_convergence, run_gallery
 from .rationalize import (
+    _POLICY_CLASSES,
     RationalizationPolicy,
     check_consistency,
     diameter_estimate,
@@ -27,14 +28,12 @@ _USAGE_ERRORS = (ConfigurationError, DomainError, ResolutionError, CapacityError
                  OSError, json.JSONDecodeError)
 
 
-def _load_space(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return space_from_descriptor(json.load(fh))
-
-
-def _load_choices(path: str, space, mode: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return choices_from_csv(fh.read(), space, mode)
+def _load_data(args):
+    """The experiment and choices of the --data CSV over the space of the --space descriptor."""
+    with open(args.space, "r", encoding="utf-8") as fh:
+        space = space_from_descriptor(json.load(fh))
+    with open(args.data, "r", encoding="utf-8") as fh:
+        return choices_from_csv(fh.read(), space, args.mode)
 
 
 def _cmd_run(args) -> int:
@@ -62,8 +61,7 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    space = _load_space(args.space)
-    e, c = _load_choices(args.data, space, args.mode)
+    e, c = _load_data(args)
     r = revealed_relation(e, c, args.mode, monotone=args.monotone)
     verdict = check_consistency(r)
     if not verdict.consistent:
@@ -76,8 +74,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    space = _load_space(args.space)
-    e, c = _load_choices(args.data, space, args.mode)
+    e, c = _load_data(args)
     try:
         est = diameter_estimate(e, c, policy_class=args.policy_class,
                                 num_samples=args.samples, seed=args.seed)
@@ -107,18 +104,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk = sub.add_parser("check", help="consistency-check a choice CSV and print a rationalization")
     p_chk.add_argument("--data", required=True, help="choice CSV path")
     p_chk.add_argument("--space", required=True, help="space descriptor JSON path")
-    p_chk.add_argument("--mode", required=True, choices=["strong", "weak"])
-    p_chk.add_argument("--monotone", default="none", choices=["none", "weak", "strict"])
+    p_chk.add_argument("--mode", required=True, choices=[STRONG, WEAK])
+    p_chk.add_argument("--monotone", default="none", choices=list(_POLICY_CLASSES.values()))
     p_chk.set_defaults(fn=_cmd_check)
 
     p_dia = sub.add_parser("diameter", help="estimate how far apart rationalizations can be")
     p_dia.add_argument("--data", required=True, help="choice CSV path")
     p_dia.add_argument("--space", required=True, help="space descriptor JSON path")
-    p_dia.add_argument("--mode", default="strong", choices=["strong", "weak"])
+    p_dia.add_argument("--mode", default=STRONG, choices=[STRONG, WEAK])
     p_dia.add_argument("--samples", type=int, default=_defaults(diameter_estimate)["num_samples"])
     p_dia.add_argument("--seed", type=int, default=0)
-    p_dia.add_argument("--policy-class", default="all",
-                       choices=["all", "weak_monotone", "strict_monotone"])
+    p_dia.add_argument("--policy-class", default="all", choices=list(_POLICY_CLASSES))
     p_dia.set_defaults(fn=_cmd_diameter)
     return parser
 
@@ -128,12 +124,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except _USAGE_ERRORS as err:
+    except (*_USAGE_ERRORS, PreconditionError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
-    except PreconditionError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(err, PreconditionError) else 2
 
 
 if __name__ == "__main__":

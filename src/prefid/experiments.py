@@ -3,10 +3,10 @@
 An experiment is an enumeration of all unordered pairs from a designated
 subset of alternatives. Choice data is generated from a preference either
 with exact optimal sets (strong observability) or one reported maximal
-element per pair (weak observability). A sequence stores its pairs and
-choices as checked (k, 2) arrays, the one form every reader works on, and
-derives tuple views from them only when those are read. This module alone
-turns tuples given to a constructor into that array form.
+element per pair (weak observability). A sequence checks its pairs or
+choices when built and holds them as read-only (k, 2) arrays, the one form
+every reader works on; only this module turns tuples into that form, and
+tuple views are derived only when read.
 """
 
 from __future__ import annotations
@@ -44,25 +44,21 @@ WEAK = "weak"
 class ExperimentSequence:
     """An ordered list of binary menus over a subset B of the space.
 
-    The sequence stores the pairs it is given: a (k, 2) array of point
-    indices, or a sequence of index pairs. Construction checks nothing.
-    `pair_array`, the pairs as a read-only (k, 2) int64 array, is built on
-    first read, which raises DomainError unless every pair is two distinct
-    point indices of the space; an array passed in is kept, not copied.
-    `pairs`, the same pairs as tuples of Python ints, is derived from it on
-    first read.
+    `pair_array`, given as a (k, 2) array or a sequence of index pairs, is
+    checked and held as a read-only (k, 2) int64 array (an int64 array is
+    kept, not copied): DomainError unless every pair is two distinct whole
+    numbers below the point count. `pairs`, as tuples, is derived on read.
     """
 
     space: OrderedSpace
     B: DenseSubset
-    _pairs: np.ndarray | Sequence = field(repr=False)
+    pair_array: np.ndarray | Sequence = field(repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "pair_array", _pair_array(self.pair_array, self.space.num_points))
 
     def __len__(self) -> int:
-        return len(self._pairs)
-
-    @cached_property
-    def pair_array(self) -> np.ndarray:
-        return _pair_array(self._pairs, self.space.num_points)
+        return len(self.pair_array)
 
     @cached_property
     def pairs(self) -> tuple[tuple[int, int], ...]:
@@ -73,48 +69,43 @@ class ExperimentSequence:
 class ChoiceSequence:
     """Observed choices, one nonempty subset of each pair, plus the mode tag.
 
-    The sequence stores the choices it is given: a (k, 2) bool array
-    ([i, 0]: pair i's x was chosen, [i, 1]: its y), or one tuple of chosen
-    point indices per pair. Construction checks nothing. `chose_mask`, the
-    choices as a read-only (k, 2) bool array, is built on first read, which
-    raises ConfigurationError for an unknown mode and DomainError for a
-    choice count unlike the pair count, an empty choice, or (for tuples) a
-    malformed pair of `experiment` or a choice that is not a subset of its
-    pair. `choices`, the chosen tuples in pair order, is derived from the
-    mask and `experiment.pair_array` on first read.
+    `chose_mask`, a (k, 2) bool array ([i, 0]: pair i's x was chosen,
+    [i, 1]: its y) or one tuple of chosen point indices per pair, is checked
+    and held as a read-only bool array: ConfigurationError for an unknown
+    mode, DomainError for a count unlike the pair count or a choice empty or
+    outside its pair. `choices`, the chosen tuples, is derived on first read.
     """
 
     experiment: ExperimentSequence
-    _choices: np.ndarray | Sequence = field(repr=False)
+    chose_mask: np.ndarray | Sequence = field(repr=False)
     mode: str
 
-    def __len__(self) -> int:
-        return len(self._choices)
-
-    @cached_property
-    def chose_mask(self) -> np.ndarray:
+    def __post_init__(self):
         if self.mode not in (STRONG, WEAK):
             raise ConfigurationError(f"unknown mode {self.mode!r}")
-        k = len(self.experiment)
-        if len(self._choices) != k:
+        k, choices, pairs = len(self.experiment), self.chose_mask, self.experiment.pair_array
+        if len(choices) != k:
             raise DomainError("experiment and choices have different lengths")
-        if isinstance(self._choices, np.ndarray) and self._choices.dtype == bool:
-            chose = self._choices
+        if isinstance(choices, np.ndarray) and choices.dtype == bool:
+            chose = choices
             if chose.shape != (k, 2):
                 raise DomainError("a choice mask holds two flags per pair")
             bad = ~(chose[:, 0] | chose[:, 1])
         else:
-            sizes = np.fromiter(map(len, self._choices), dtype=np.int64, count=k)
-            chosen = np.fromiter(itertools.chain.from_iterable(self._choices), dtype=np.int64, count=sizes.sum())
+            sizes = np.fromiter(map(len, choices), dtype=np.int64, count=k)
+            chosen = np.fromiter(itertools.chain.from_iterable(choices), dtype=np.int64, count=sizes.sum())
             owner = np.repeat(np.arange(k), sizes)
-            hit, side = np.nonzero(chosen[:, None] == self.experiment.pair_array[owner])
+            hit, side = np.nonzero(chosen[:, None] == pairs[owner])
             chose = np.zeros((k, 2), dtype=bool)
             chose[owner[hit], side] = True
             # a pair's two sides differ, so a choice inside its pair hits once per element
             bad = ~chose.any(axis=1) | (np.bincount(owner[hit], minlength=k) != sizes)
         if bad.any():
             raise DomainError(f"choice at k={bad.argmax() + 1} is empty or not a subset of its pair")
-        return _frozen(chose)
+        object.__setattr__(self, "chose_mask", _frozen(chose))
+
+    def __len__(self) -> int:
+        return len(self.chose_mask)
 
     @cached_property
     def choices(self) -> tuple[tuple[int, ...], ...]:
@@ -131,16 +122,21 @@ class ChoiceSequence:
 
 
 def _pair_array(pairs, n: int) -> np.ndarray:
-    """Pairs as a read-only (k, 2) array; DomainError unless each is two distinct indices below n."""
+    """Pairs as a read-only (k, 2) int64 array; DomainError unless each is two distinct whole numbers below n."""
     try:
-        arr = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError("every pair must be two point indices") from None
+        arr = np.asarray(pairs).reshape(len(pairs), 2)
+        whole = arr.dtype.kind in "iu" or (arr.dtype.kind == "f" and (arr == np.trunc(arr)).all())
+        # numpy reads True beside ints as 1, so a bool in a tuple is looked for in the tuple
+        entries = () if isinstance(pairs, np.ndarray) else itertools.chain.from_iterable(pairs)
+        if not whole or any(isinstance(v, (bool, np.bool_)) for v in entries):
+            raise TypeError
+    except (TypeError, ValueError):
+        raise DomainError("every pair must be two whole-number point indices") from None
     # whole-array checks first (initial= keeps an empty array valid); the first bad row only on failure
     if arr.min(initial=0) < 0 or arr.max(initial=n - 1) >= n or (arr[:, 0] == arr[:, 1]).any():
         bad = (arr.min(axis=1) < 0) | (arr.max(axis=1) >= n) | (arr[:, 0] == arr[:, 1])
         raise DomainError(f"pair {arr[bad][0].tolist()} at k={bad.argmax() + 1} is not two distinct indices below {n}")
-    return _frozen(arr)
+    return _frozen(arr.astype(np.int64, copy=False))
 
 
 def enumerate_pairs(B: DenseSubset, schedule: str = "diagonal", seed: int | None = None) -> ExperimentSequence:
@@ -161,8 +157,7 @@ def enumerate_pairs(B: DenseSubset, schedule: str = "diagonal", seed: int | None
         positions = positions[np.random.default_rng(seed).permutation(len(positions))]
     elif schedule != "diagonal":
         raise ConfigurationError(f"unknown schedule {schedule!r}")
-    pairs = _pair_array(np.asarray(members, dtype=np.int64)[positions], B.space.num_points)
-    return ExperimentSequence(B.space, B, pairs)
+    return ExperimentSequence(B.space, B, np.asarray(members, dtype=np.int64)[positions])
 
 
 def generate_choices(
@@ -178,8 +173,6 @@ def generate_choices(
     records one maximal element, picked by tie_policy: "first" keeps the
     pair's earlier element, "random" draws with the given seed.
     """
-    if mode not in (STRONG, WEAK):
-        raise ConfigurationError(f"unknown mode {mode!r}")
     if mode == WEAK and tie_policy == "both":
         raise ConfigurationError("weak mode reports a single element; tie_policy 'both' is invalid")
     if tie_policy not in ("both", "first", "random"):
@@ -191,11 +184,11 @@ def generate_choices(
         # one draw per tie, in pair order: 0 keeps x, 1 keeps y
         kept = np.random.default_rng(seed).integers(2, size=len(ties)) if tie_policy == "random" else 0
         chose[ties, 1 - kept] = False
-    return ChoiceSequence(e, _frozen(chose), mode)
+    return ChoiceSequence(e, chose, mode)
 
 
 def restrict(e: ExperimentSequence, c: ChoiceSequence, k: int) -> tuple[ExperimentSequence, ChoiceSequence]:
-    """Prefix of the first k pairs and their choices, with views of the full arrays (read, so checked, here)."""
+    """Prefix of the first k pairs and their choices, with views of the full arrays."""
     if not 1 <= k <= min(len(e), len(c)):
         raise DomainError(f"prefix order {k} is not between 1 and the sequence length {len(e)}")
     pairs, chose = c.arrays_over(e)
@@ -229,9 +222,9 @@ def choices_from_csv(text: str, space: OrderedSpace, mode: str) -> tuple[Experim
     """Rebuild an experiment and its choices from interchange CSV, rows in order of k.
 
     The subset B is taken to be the set of point indices that appear. Both
-    sequences are checked here, as on their first read; missing columns, a
-    non-integer cell, a chose_x or chose_y flag other than 0 or 1, or no
-    rows raise DomainError too.
+    sequences are checked as they are built; missing columns, a non-integer
+    cell, a chose_x or chose_y flag other than 0 or 1, or no rows raise
+    DomainError too.
     """
     reader = csv.DictReader(io.StringIO(text))
     required = set(_CSV_COLUMNS)
@@ -240,8 +233,6 @@ def choices_from_csv(text: str, space: OrderedSpace, mode: str) -> tuple[Experim
     rows = sorted((_int_row(row, reader.line_num) for row in reader), key=lambda row: row[0])
     if not rows:
         raise DomainError("empty choice CSV")
-    index = _pair_array([row[1:3] for row in rows], space.num_points)
+    index = _pair_array([row[1:3] for row in rows], space.num_points)  # checked before B is built from it
     e = ExperimentSequence(space, dense_subset(space, members=np.unique(index)), index)
-    c = ChoiceSequence(e, np.array([row[3:] for row in rows], dtype=bool), mode)
-    c.chose_mask  # a bad choice or mode fails the parse, not a later reader
-    return e, c
+    return e, ChoiceSequence(e, np.array([row[3:] for row in rows], dtype=bool), mode)

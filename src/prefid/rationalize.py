@@ -169,7 +169,7 @@ class RationalizationPolicy:
     def __post_init__(self):
         if self.tag not in ("canonical", "adversarial_indifference", "adversarial_far", "eu_class"):
             raise ConfigurationError(f"unknown policy tag {self.tag!r}")
-        if self.monotone not in ("none", "weak", "strict"):
+        if self.monotone not in _POLICY_CLASSES.values():
             raise ConfigurationError(f"unknown monotone class {self.monotone!r}")
         if self.tag == "adversarial_far" and self.target is None:
             raise ConfigurationError("adversarial_far needs a target preference")
@@ -195,7 +195,7 @@ def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monot
     """
     if mode not in (STRONG, WEAK):
         raise ConfigurationError(f"unknown mode {mode!r}")
-    if monotone not in ("none", "weak", "strict"):
+    if monotone not in _POLICY_CLASSES.values():
         raise ConfigurationError(f"unknown monotone class {monotone!r}")
     pairs, chose = c.arrays_over(e)
     n = e.space.num_points

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -64,10 +65,10 @@ class OrderedSpace:
             statements about this space.
         descriptor: construction parameters, enough to rebuild the space.
 
-    Derived from these and cached on first read: `weak_order` and
-    `strict_order` from the keys, their covering pairs `weak_covers` and
-    `strict_covers`, and `distance_matrix` and `distance_values` from the
-    points.
+    Construction checks the chain on its own points and builds no (n, n)
+    matrix. Derived and cached on first read: `weak_order` and `strict_order`
+    from the keys, their covering pairs `weak_covers` and `strict_covers`,
+    and `distance_matrix` and `distance_values` from the points.
     """
 
     kind: str
@@ -87,9 +88,9 @@ class OrderedSpace:
         # at least two points in range, strictly increasing, bounding the whole space
         if len(chain) < 2 or max(chain) >= self.num_points:
             raise ConfigurationError(f"reference chain needs at least 2 point indices below {self.num_points}")
-        if not self.strict_order[chain[1:], chain[:-1]].all():
+        if not self._order_block(list(chain[1:]), list(chain[:-1]), strict=True).all():
             raise ConfigurationError("reference chain is not strictly increasing")
-        if not self.weak_order[chain[-1], :].all() or not self.weak_order[:, chain[0]].all():
+        if not self._order_block(chain[-1], slice(None)).all() or not self._order_block(slice(None), chain[0]).all():
             raise ConfigurationError("reference chain does not bound the space")
 
     @property
@@ -99,18 +100,25 @@ class OrderedSpace:
     def __len__(self) -> int:
         return self.num_points
 
+    def _order_block(self, rows, cols, strict: bool = False) -> np.ndarray:
+        """bool, [...] true iff point rows[...] >= point cols[...] (strictly dominates it, with `strict`); the
+        indices broadcast as numpy's do. Strict dominance is coordinatewise >> on the keys of euclidean grids and
+        point lists, and elsewhere the strict part of the weak order: >= in every key and > in some."""
+        above, below = self.order_keys[rows], self.order_keys[cols]
+        if strict and self.kind in ("euclidean_grid", "euclidean_points"):
+            return _coordinatewise(above, below, np.greater, np.logical_and)
+        weak = _coordinatewise(above, below, np.greater_equal, np.logical_and)
+        return weak & _coordinatewise(above, below, np.greater, np.logical_or) if strict else weak
+
     @cached_property
     def weak_order(self) -> np.ndarray:
         """(n, n) bool, entry [i, j] true iff point i >= point j: order_keys[i] >= order_keys[j] everywhere."""
-        return _frozen(_coordinatewise(self.order_keys, np.greater_equal, np.logical_and))
+        return _frozen(self._order_block(np.arange(self.num_points)[:, None], slice(None)))
 
     @cached_property
     def strict_order(self) -> np.ndarray:
-        """(n, n) bool, the configured strict-dominance order: coordinatewise >> on the keys of
-        euclidean grids and point lists, the strict part of the weak order elsewhere."""
-        if self.kind in ("euclidean_grid", "euclidean_points"):
-            return _frozen(_coordinatewise(self.order_keys, np.greater, np.logical_and))
-        return _frozen(self.weak_order & ~self.weak_order.T)
+        """(n, n) bool, entry [i, j] true iff point i strictly dominates point j (see `_order_block`)."""
+        return _frozen(self._order_block(np.arange(self.num_points)[:, None], slice(None), strict=True))
 
     @cached_property
     def weak_covers(self) -> np.ndarray:
@@ -133,7 +141,7 @@ class OrderedSpace:
     @cached_property
     def distance_matrix(self) -> np.ndarray:
         """Pairwise max-coordinate distances, shape (n, n)."""
-        return _frozen(_coordinatewise(self.points, _gap, np.maximum))
+        return _frozen(_coordinatewise(self.points[:, None], self.points, _gap, np.maximum))
 
     @cached_property
     def distance_values(self) -> np.ndarray:
@@ -151,11 +159,24 @@ class OrderedSpace:
 
 @dataclass(frozen=True)
 class DenseSubset:
-    """A subset of a space's points together with its exact covering radius."""
+    """Some of a space's points, `members`: DomainError unless they are distinct point indices, at least one.
+    `covering_radius`, the exact largest distance from a point to its nearest member, is derived on first read."""
 
     space: OrderedSpace
     members: tuple[int, ...]
-    covering_radius: float
+
+    def __post_init__(self):
+        members = tuple(int(i) for i in self.members)
+        object.__setattr__(self, "members", members)
+        if not members or min(members) < 0 or max(members) >= self.space.num_points:
+            raise DomainError(f"a subset needs at least one member, each a point index below {self.space.num_points}")
+        if len(set(members)) < len(members):
+            raise DomainError(f"member {Counter(members).most_common(1)[0][0]} is repeated")
+
+    @cached_property
+    def covering_radius(self) -> float:
+        points = self.space.points
+        return float(_coordinatewise(points[:, None], points[list(self.members)], _gap, np.maximum).min(axis=1).max())
 
 
 def _check_budget(kind: str, factors) -> None:
@@ -171,12 +192,12 @@ def _check_budget(kind: str, factors) -> None:
             raise CapacityError(f"a {kind} space exceeds the budget of {_POINT_BUDGET} points")
 
 
-def _coordinatewise(coords: np.ndarray, compare, combine) -> np.ndarray:
-    """combine.reduce(compare(coords[:, None, :], coords[None, :, :]), axis=2), built one
-    coordinate at a time: it holds two (n, n) arrays, never the (n, n, d) comparison."""
-    out = compare(coords[:, 0, None], coords[None, :, 0])
-    for column in coords.T[1:]:
-        combine(out, compare(column[:, None], column[None, :]), out=out)
+def _coordinatewise(a: np.ndarray, b: np.ndarray, compare, combine) -> np.ndarray:
+    """combine.reduce(compare(a, b), axis=-1) for coordinates that broadcast, such as (n, 1, d) against (m, d), built
+    one coordinate at a time: it holds two arrays of the broadcast shape, never the comparison with its last axis."""
+    out = compare(a[..., 0], b[..., 0])
+    for k in range(1, a.shape[-1]):
+        combine(out, compare(a[..., k], b[..., k]), out=out)
     return out
 
 
@@ -326,7 +347,7 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
     if points.shape[0] < 2:
         raise ConfigurationError("need at least 2 points")
     _check_budget("euclidean_points", (points.shape[0],))
-    distance = _coordinatewise(points, _gap, np.maximum)
+    distance = _coordinatewise(points[:, None], points, _gap, np.maximum)
     off_diagonal = distance[~np.eye(points.shape[0], dtype=bool)]
     if (off_diagonal == 0).any():
         raise ConfigurationError("points must be distinct")
@@ -339,20 +360,13 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
 
 
 def dense_subset(space: OrderedSpace, members: Sequence[int] | None = None, stride: int = 1) -> DenseSubset:
-    """Designate observed alternatives; covering radius is computed exactly.
+    """Designate observed alternatives: the members given, else every stride-th point index.
 
-    With no arguments the subset is the full point set (radius 0). A stride
-    keeps every stride-th point index.
+    With no arguments the subset is the full point set (radius 0); a stride below 1 raises DomainError.
     """
-    if members is None:
-        members = range(0, space.num_points, stride)
-    members = tuple(int(i) for i in members)
-    if not members:
-        raise DomainError("empty subset")
-    if any(i < 0 or i >= space.num_points for i in members):
-        raise DomainError("member index out of range")
-    radius = float(space.distance_matrix[:, members].min(axis=1).max())
-    return DenseSubset(space, members, radius)
+    if stride < 1:
+        raise DomainError(f"stride must be at least 1, got {stride}")
+    return DenseSubset(space, range(0, space.num_points, stride) if members is None else members)
 
 
 def same_space(a: OrderedSpace, b: OrderedSpace) -> bool:
@@ -372,10 +386,10 @@ def order_bracketing_radius(space: OrderedSpace, B: DenseSubset) -> float:
     """
     if not same_space(space, B.space):
         raise DomainError("the subset belongs to another space")
-    members = list(B.members)
-    distance = space.distance_matrix[:, members]
-    below = np.where(space.weak_order[:, members], distance, np.inf).min(axis=1)    # [x, b] : x >= b
-    above = np.where(space.weak_order[members, :].T, distance, np.inf).min(axis=1)  # [x, b] : b >= x
+    members, everything = np.array(B.members), np.arange(space.num_points)[:, None]
+    distance = _coordinatewise(space.points[:, None], space.points[members], _gap, np.maximum)
+    below = np.where(space._order_block(everything, members), distance, np.inf).min(axis=1)  # [x, b] : x >= b
+    above = np.where(space._order_block(members, everything), distance, np.inf).min(axis=1)  # [x, b] : b >= x
     return float(np.maximum(below, above).max())
 
 

@@ -164,6 +164,25 @@ def test_first_empty_choice_is_named_by_its_k(line5):
         ChoiceSequence(e, mask, "strong").chose_mask
 
 
+@pytest.mark.parametrize("pairs", [
+    pytest.param([(0.5, 2.99)], id="fractional_tuple"),
+    pytest.param(np.array([[0.9, 3.2]]), id="fractional_array"),
+    pytest.param([(True, 2)], id="bool_beside_int"),
+    pytest.param(((0, 1), (np.False_, 3)), id="numpy_bool_beside_int"),
+    pytest.param(np.array([[True, False]]), id="bool_array"),
+    pytest.param([("0", "1")], id="text"),
+])
+def test_pairs_must_be_whole_numbers(line5, pairs):
+    # casting to int64 would read (0.5, 2.99) as (0, 2) and True as 1
+    with pytest.raises(DomainError, match="whole-number point indices"):
+        ExperimentSequence(line5, dense_subset(line5), pairs)
+
+
+def test_whole_floats_are_pairs(line5):
+    e = ExperimentSequence(line5, dense_subset(line5), np.array([[0.0, 3.0]]))
+    assert e.pair_array.dtype == np.int64 and e.pairs == ((0, 3),)
+
+
 @pytest.mark.parametrize("as_array", [True, False], ids=["arrays", "tuples"])
 def test_empty_sequences_are_valid(line5, as_array):
     e = ExperimentSequence(line5, dense_subset(line5), np.zeros((0, 2), dtype=np.int64) if as_array else ())
@@ -348,6 +367,8 @@ class TestLengths:
         assert len(c) == 10
 
     def test_len_counts_choices(self, line5):
+        # a choice sequence holds one choice per pair, so one of another length is refused when it is built
         e = enumerate_pairs(dense_subset(line5))
-        short = ChoiceSequence(e, ((0,),), "weak")
-        assert len(short) == 1
+        assert len(ChoiceSequence(e, e.pairs, "strong")) == len(e) == 10
+        with pytest.raises(DomainError, match="different lengths"):
+            ChoiceSequence(e, ((0,),), "weak")

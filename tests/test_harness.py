@@ -537,6 +537,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert "absent.json" in err and "JSON" not in err
 
+    def test_run_repeated_subset_member_exits_2_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(BASE_CONFIG, subset={"members": [0, 0, 1]})))
+        assert main(["run", "--config", str(config)]) == 2
+        assert "member 0 is repeated" in capsys.readouterr().err
+
     def test_run_bad_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(BASE_CONFIG, extra=True)))

@@ -63,7 +63,10 @@ def _unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
 
 
+# the package's modules but __init__.py, which re-exports by star import, then the tests and demos
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 SOURCES = sorted(path for path in pathlib.Path(prefid.__file__).parent.glob("*.py") if path.name != "__init__.py")
+SOURCES += sorted(ROOT.glob("tests/*.py")) + sorted(ROOT.glob("demos/*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import prefid
 from prefid import (
     BinaryRelation,
     Preference,

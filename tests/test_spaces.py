@@ -398,6 +398,36 @@ class TestDenseSubset:
         full = dense_subset(chain6, stride=1)
         assert full.covering_radius == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_one_rejected(self, chain6, stride):
+        with pytest.raises(DomainError, match=f"stride must be at least 1, got {stride}"):
+            dense_subset(chain6, stride=stride)
+
+    def test_repeated_member_rejected(self, chain6):
+        with pytest.raises(DomainError, match="member 3 is repeated"):
+            dense_subset(chain6, members=[1, 3, 0, 3])
+
+
+def test_building_a_space_and_subset_builds_no_square_matrix():
+    # the chain is checked on the chain's own points and the covering radius is read late, so no
+    # (n, n) order or distance matrix exists until a reader asks for it
+    lottery = make_lottery_simplex(3, 4)
+    spaces = [
+        make_grid_euclidean(2, 5, (0.0, 1.0)),
+        lottery,
+        make_dated_rewards(4, 3, ((0.0, 1.0), (0.0, 2.0))),
+        make_aa_acts(2, lottery),
+        from_points(np.arange(5.0), chain=[0, 2, 4]),
+    ]
+    for space in spaces:
+        assert space.chain
+        B = dense_subset(space)
+        # from_points builds its distance matrix for its own distinctness check, and keeps it
+        matrices = {"weak_order", "strict_order"} | ({"distance_matrix"} if space.kind != "euclidean_points" else set())
+        assert not matrices & set(vars(space)), space.kind
+        assert "covering_radius" not in vars(B)
+        assert B.covering_radius == 0.0
+
 
 class TestCountableOrderProperty:
     def test_full_subset_brackets_at_one_step(self, grid3):
