@@ -126,9 +126,11 @@ class RevealedRelation:
         cells = np.zeros((n, n), dtype=bool)
         pick = self.strict if strict else slice(None)
         cells[self.x[pick], self.y[pick]] = True
-        for is_strict, order in _monotone_orders(self.space, self.monotone, whole=True):
-            if is_strict or not strict:
-                cells |= order
+        if self.monotone == "strict":
+            cells |= self.space.strict_order
+        if self.monotone != "none" and not strict:
+            cells |= self.space.weak_order
+            np.fill_diagonal(cells, False)  # only the order's own pairs: no edge is a loop
         return cells
 
     @cached_property
@@ -145,9 +147,6 @@ class RevealedRelation:
     def data_edges(self) -> np.ndarray:
         """Mask of the edges revealed by the data, the ones with a pair."""
         return self.pair_index > 0
-
-    def has_monotone_edges(self) -> bool:
-        return not self.data_edges().all()
 
 
 @dataclass(frozen=True)
@@ -208,20 +207,11 @@ def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monot
     _, first = np.unique((tail * n + head) * 2 + strict, return_index=True)
     first.sort()
     columns = [(tail[first], head[first], strict[first], pair[first] + 1)]
-    for is_strict, order in _monotone_orders(e.space, monotone):
-        ii, jj = np.nonzero(order)
+    # the strictness of each set of covers the class injects; a class builds no covers it does not inject
+    for is_strict in {"none": (), "weak": (False,), "strict": (False, True)}[monotone]:
+        ii, jj = np.nonzero(e.space.strict_covers if is_strict else e.space.weak_covers)
         columns.append((ii, jj, np.full(len(ii), is_strict), np.zeros(len(ii), dtype=np.int64)))
     return RevealedRelation(e.space, *(np.concatenate(column) for column in zip(*columns)), monotone)
-
-
-def _monotone_orders(space: OrderedSpace, monotone: str, whole: bool = False) -> list[tuple[bool, np.ndarray]]:
-    """(strict, (n, n) mask) of each order a monotone class injects: its covering pairs, or with whole every pair."""
-    orders = []
-    if monotone in ("weak", "strict"):
-        orders.append((False, space.weak_order & ~np.eye(space.num_points, dtype=bool) if whole else space.weak_covers))
-    if monotone == "strict":
-        orders.append((True, space.strict_order if whole else space.strict_covers))
-    return orders
 
 
 @dataclass(frozen=True)
@@ -237,17 +227,18 @@ class _Condensation:
     def covering(self) -> np.ndarray:
         """Mask of the covering arcs, the ones no longer path implies: the transitive reduction.
 
-        Walks the components in a topological order, lowest first, keeping each one's strict down-set
-        as a boolean row; an arc (u, v) covers unless v lies below another component that u is at least.
+        Walks the components by ascending id, keeping each one's strict down-set as a boolean row; an arc
+        (u, v) covers unless v lies below another component that u is at least. SciPy closes the strong
+        components in reverse topological order (Tarjan 1972, in Pearce's variant), so every arc runs from a
+        higher id to a lower one and a component's heads are walked before it.
         """
         num = self.num_comps
-        order = np.argsort(_heaviest_paths(num, self.arc_u, self.arc_v, np.ones_like(self.arc_u)))
         by_tail = np.argsort(self.arc_u, kind="stable")
         heads = self.arc_v[by_tail]
         bounds = np.searchsorted(self.arc_u[by_tail], np.arange(num + 1)).tolist()
         down = np.zeros((num, num), dtype=bool)
         keep = np.empty(len(heads), dtype=bool)
-        for comp in order.tolist():
+        for comp in range(num):
             lo, hi = bounds[comp], bounds[comp + 1]
             below = down[heads[lo:hi]].any(axis=0)
             keep[lo:hi] = ~below[heads[lo:hi]]
@@ -280,7 +271,9 @@ class _Condensation:
 def _condense(r: RevealedRelation) -> _Condensation:
     n = r.space.num_points
     rows, cols = np.nonzero(r.arc_matrix)
-    adj = csr_matrix((np.ones(len(cols)), cols, np.searchsorted(rows, np.arange(n + 1))), shape=(n, n))
+    # int32 indices are SciPy's own, so neither the constructor nor the search converts them
+    indptr = np.searchsorted(rows, np.arange(n + 1)).astype(np.int32)
+    adj = csr_matrix((np.ones(len(cols)), cols.astype(np.int32), indptr), shape=(n, n))
     num, labels = connected_components(adj, directed=True, connection="strong")
     cu, cv = labels[r.x], labels[r.y]
     inside = cu == cv
@@ -334,9 +327,8 @@ def check_consistency(r: RevealedRelation) -> ConsistencyResult:
         rows, cols = np.divmod(cells, keep.size)
         reads = into[cols]
         if reads.sum() * _DENSE_SPEEDUP < hops.size * keep.size:
-            # each frontier cell (u, p) reads the arcs into p: their slices of tails, end to end
-            at = np.repeat(first[cols] - reads.cumsum() + reads, reads) + np.arange(reads.sum())
-            cells = np.sort(np.repeat(rows, reads) * keep.size + tails[at])
+            # each frontier cell (u, p) reads the arcs into p
+            cells = np.sort(np.repeat(rows, reads) * keep.size + tails[_arcs_into(first[cols], reads)])
             cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
         else:
             frontier = np.zeros(hops.size, dtype=np.float32)
@@ -352,9 +344,17 @@ def check_consistency(r: RevealedRelation) -> ConsistencyResult:
     return ConsistencyResult(False, (int(tops[row]), *keep[path].tolist()))
 
 
+def _arcs_into(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Positions of the arcs into a nonempty level of nodes, in arrays sorted by head: each node's slice
+    first[i] : first[i] + count[i], end to end."""
+    ends = count.cumsum()
+    return np.repeat(first - ends + count, count) + np.arange(ends[-1])
+
+
 def _heaviest_paths(num: int, tail: np.ndarray, head: np.ndarray, strict: np.ndarray) -> np.ndarray:
     """Heaviest path out of each of num nodes along the arcs tail -> head, sorted by head; a strict arc weighs 1.
 
+    The extremal extensions' ranks, `_min_height` on the condensation's arcs and `_max_height` on them reversed.
     Kahn's topological sort one level at a time, from the nodes with no outgoing arc: a level pushes
     height[head] + strict along the arcs into it and releases the tails with no outgoing arc left to do.
     """
@@ -364,9 +364,7 @@ def _heaviest_paths(num: int, tail: np.ndarray, head: np.ndarray, strict: np.nda
     height = np.zeros(num, dtype=np.int64)
     level = (left == 0).nonzero()[0]
     while level.size:
-        count = into[level]
-        ends = count.cumsum()
-        arcs = np.repeat(first[level] - ends + count, count) + np.arange(ends[-1])  # the level's slices, end to end
+        arcs = _arcs_into(first[level], into[level])
         tails = tail[arcs]
         np.maximum.at(height, tails, height[head[arcs]] + strict[arcs])
         left[level] = -1                  # a level is released once
@@ -450,35 +448,30 @@ def adversarial_far_extension(
 
     Seeded random draws of sample_extension, each with a merge probability
     drawn uniformly from (0, 0.15, 0.4, 0.7, 0.9), keeping the draw farthest
-    from the target. The search stops after max(50, budget // 4) draws
-    without improvement, or once the best distance reaches the diameter of
-    the space. Returns (best preference found, budget_exhausted); the flag
-    is True when the budget ran out before either stop. The target side of
-    every distance (its rank envelopes at each radius) is computed once per
-    search, not once per draw.
+    from the target. The search stops once the best distance reaches the
+    diameter of the space, or after max(50, budget // 4) draws in a row
+    without improvement. Returns (best preference found, budget_exhausted);
+    the flag is True when the budget ran out before either stop. The target
+    side of every distance (its rank envelopes at each radius) is computed
+    once per search, not once per draw.
     """
     _require_consistent(r)
     distance = _distance_to(target)
     rng = np.random.default_rng(seed)
-    best, best_d = None, -1.0
-    stale = 0
-    exhausted = True
-    for trial in range(max(1, budget)):
+    best, best_d, stale = None, -1.0, 0
+    for _ in range(max(1, budget)):
         merge_prob = float(rng.choice([0.0, 0.15, 0.4, 0.7, 0.9]))
         cand = sample_extension(r, rng, merge_prob=merge_prob)
         d = distance(cand)
         if d > best_d:
-            best, best_d = cand, d
-            stale = 0
+            best, best_d, stale = cand, d, 0
         else:
             stale += 1
         if best_d >= float(r.space.distance_values[-1]) - _ZERO_TOL:
-            exhausted = False  # hit the diameter of the space; cannot improve
-            break
+            return best, False  # the diameter of the space: no draw can be farther
         if stale >= max(50, budget // 4):
-            exhausted = False  # local search converged before the budget
-            break
-    return best, exhausted
+            return best, False  # no improvement for long enough
+    return best, True
 
 
 def extend_preference(r: RevealedRelation, policy: RationalizationPolicy) -> Preference:
@@ -487,18 +480,17 @@ def extend_preference(r: RevealedRelation, policy: RationalizationPolicy) -> Pre
     if policy.tag == "canonical":
         return Preference(r.space, _min_height(r.condensation)[r.condensation.labels])
     if policy.tag == "adversarial_indifference":
-        if r.has_monotone_edges():
+        if r.monotone != "none":
             raise ConfigurationError("the indifference construction cannot respect monotonicity edges")
         return _indifference_from_relation(r)
     if policy.tag == "adversarial_far":
         pref, _ = adversarial_far_extension(r, policy.target, policy.seed, policy.budget)
         return pref
-    if policy.tag == "eu_class":
-        result = _eu_from_edges(r)
-        if result.status == "infeasible":
-            raise PreconditionError("data admits no linear-index rationalization")
-        return eu_preference(r.space, result.index)
-    raise ConfigurationError(f"unknown policy tag {policy.tag!r}")
+    # eu_class, the last tag a policy may have
+    result = _eu_from_edges(r)
+    if result.status == "infeasible":
+        raise PreconditionError("data admits no linear-index rationalization")
+    return eu_preference(r.space, result.index)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +608,8 @@ def _unique_edges(r: RevealedRelation) -> tuple[tuple[np.ndarray, np.ndarray], t
     Both read every pair of the monotone order, not only its covers: the fit's rows and its tie-break
     functional, their sum, are over all of them.
     """
-    n = r.space.num_points
     strict = r.whole_cells(strict=True)
-    strict_keys = np.flatnonzero(strict)
-    weak_keys = np.flatnonzero(r.arc_matrix & ~strict)
-    return (weak_keys // n, weak_keys % n), (strict_keys // n, strict_keys % n)
+    return np.nonzero(r.arc_matrix & ~strict), np.nonzero(strict)
 
 
 def _incidence(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -159,14 +159,19 @@ class OrderedSpace:
 
 @dataclass(frozen=True)
 class DenseSubset:
-    """Some of a space's points, `members`: DomainError unless they are distinct point indices, at least one.
-    `covering_radius`, the exact largest distance from a point to its nearest member, is derived on first read."""
+    """Some of a space's points, `members`: DomainError unless they are distinct point indices, at least one, each a
+    whole number (an integer or an integral float, never a bool or a string). `covering_radius`, the exact largest
+    distance from a point to its nearest member, is derived on first read."""
 
     space: OrderedSpace
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(int(i) for i in self.members)
+        members = tuple(self.members)
+        odd = [i for i in members if not _whole(i)]
+        if odd:
+            raise DomainError(f"member {odd[0]!r} is not a whole-number point index")
+        members = tuple(int(i) for i in members)
         object.__setattr__(self, "members", members)
         if not members or min(members) < 0 or max(members) >= self.space.num_points:
             raise DomainError(f"a subset needs at least one member, each a point index below {self.space.num_points}")
@@ -393,10 +398,15 @@ def order_bracketing_radius(space: OrderedSpace, B: DenseSubset) -> float:
     return float(np.maximum(below, above).max())
 
 
+def _whole(value) -> bool:
+    """Whether value is a whole number: an integer or an integral float, not a bool."""
+    return not isinstance(value, bool) and (isinstance(value, numbers.Integral)
+                                            or isinstance(value, float) and value.is_integer())
+
+
 def _int_field(where: str, value, minimum: int | None = None) -> int:
     """A whole-number field of a descriptor or config, else ConfigurationError."""
-    whole = isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer())
-    if isinstance(value, bool) or not whole:
+    if not _whole(value):
         raise ConfigurationError(f"{where} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"{where} must be at least {minimum}, got {value!r}")

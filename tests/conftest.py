@@ -7,7 +7,8 @@ worse) so they cannot share bugs with the vectorized library paths.
 import numpy as np
 import pytest
 
-from prefid import DomainError, Preference, dense_subset, from_points, make_grid_euclidean
+from prefid import (DomainError, Preference, closed_convergence_distance, dense_subset, from_points,
+                    make_grid_euclidean, sample_extension)
 from prefid.experiments import ChoiceSequence, ExperimentSequence
 
 
@@ -211,3 +212,33 @@ def per_start_witness(r):
             path.append(cur)
         cycles.append((u, *path))
     return min(cycles, key=lambda cycle: (len(cycle), cycle))
+
+
+def reference_far_search(r, target, seed, budget):
+    """The far search as a plain loop: (ranks of the farthest draw, budget_exhausted).
+
+    One `sample_extension` draw per trial, its merge probability drawn first. A draw replaces the best only when it
+    is strictly farther from the target, and resets the stale counter; any other draw adds one to it. The search
+    stops, with the flag False, once the best distance reaches the largest distance of the space or the counter
+    reaches max(50, budget // 4); when the budget runs out first, the flag is True.
+    """
+    rng = np.random.default_rng(seed)
+    best, best_d = None, -1.0
+    stale = 0
+    exhausted = True
+    for trial in range(max(1, budget)):
+        merge_prob = float(rng.choice([0.0, 0.15, 0.4, 0.7, 0.9]))
+        cand = sample_extension(r, rng, merge_prob=merge_prob)
+        d = closed_convergence_distance(cand, target)
+        if d > best_d:
+            best, best_d = cand, d
+            stale = 0
+        else:
+            stale += 1
+        if best_d >= float(r.space.distance_values[-1]) - 1e-12:
+            exhausted = False
+            break
+        if stale >= max(50, budget // 4):
+            exhausted = False
+            break
+    return best.rank.tolist(), exhausted

@@ -77,3 +77,37 @@ def test_module_reads_every_name_it_imports(path):
 def test_unused_import_is_caught():
     assert _unused_imports("import json\nimport os\nfrom .spaces import a, b as c\nos.sep\nc\n") == [
         "a (line 3)", "json (line 1)"]
+
+
+def _unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Top-level private functions, classes and constants of the sources that no source reads by name outside
+    their own definition, as "module.name"."""
+    defined, read = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = {node.name}
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {target.id for target in targets if isinstance(target, ast.Name)}
+            else:
+                names = set()
+            private = {name for name in names if name.startswith("_") and not name.startswith("__")}
+            defined.update(dict.fromkeys(private, module))
+            read |= {sub.id for sub in ast.walk(node)
+                     if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)} - names
+    return sorted(f"{module}.{name}" for name, module in defined.items() if name not in read)
+
+
+def test_every_private_name_is_read():
+    # a helper a refactor leaves behind has no reader; the package's own code must read each one, tests do not count
+    package = pathlib.Path(prefid.__file__).parent
+    assert _unread_private_names({path.stem: path.read_text(encoding="utf-8")
+                                  for path in sorted(package.glob("*.py"))}) == []
+
+
+def test_unread_private_name_is_caught():
+    sources = {"a": "_LIMIT = 3\n_SEEN: int = 0\ndef _walk(n):\n    return _walk(n - 1)\nclass _Node:\n    pass\n"
+                    "def public():\n    return _helper(_LIMIT)\n",
+               "b": "from .a import _Node\ndef _helper(x):\n    return _Node\n__version__ = '1'\n"}
+    assert _unread_private_names(sources) == ["a._SEEN", "a._walk"]

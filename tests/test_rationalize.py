@@ -72,6 +72,7 @@ from conftest import (
     longest_path_ranks,
     naive_transitive_reduction,
     per_start_witness,
+    reference_far_search,
 )
 
 
@@ -153,7 +154,7 @@ class TestRevealedRelation:
     def test_monotone_weak_injects_order_edges(self, chain6):
         e, c = dataset(chain6, [(0, 1, (1,))], "weak")
         r = revealed_relation(e, c, "weak", monotone="weak")
-        assert r.has_monotone_edges()
+        assert r.monotone == "weak" and not r.data_edges().all()
         # the view names an edge with a pair a data edge, any other a monotonicity edge
         assert [(ed.source, ed.pair_index) for ed in r.edges] == [("data", 1)] + [("monotonicity", None)] * 5
         # the monotone edges are the chain's covering pairs i > i - 1; the arc matrix holds every pair i > j
@@ -176,7 +177,7 @@ class TestRevealedRelation:
     def test_monotone_none_keeps_data_only(self, chain6):
         e, c = dataset(chain6, [(0, 1, (1,))], "weak")
         r = revealed_relation(e, c, "weak")
-        assert not r.has_monotone_edges()
+        assert r.monotone == "none" and r.data_edges().all()
         assert len(r.edges) == 1
 
     def test_arc_matrix_mirrors_edges(self, line5):
@@ -452,6 +453,11 @@ def oracle_sample(r, rng, merge_prob):
     return [levels[comp] for comp in cond.labels.tolist()]
 
 
+# under another numbering the cover walk would keep extra arcs, which the sampler reads with the same draws
+SCIPY_NUMBERING = ("a condensation arc runs from a lower component id to a higher one: the cover walk and every "
+                   "seeded pin depend on SciPy numbering strong components in reverse topological order")
+
+
 class TestCoverWalk:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -469,6 +475,7 @@ class TestCoverWalk:
         c = generate_choices(truth, e, mode=mode, tie_policy="both" if mode == "strong" else "first")
         r = revealed_relation(*restrict(e, c, data.draw(st.integers(1, len(e)))), mode, monotone=monotone)
         cond = r.condensation
+        assert (cond.arc_v < cond.arc_u).all(), SCIPY_NUMBERING
         arcs = list(zip(cond.arc_u.tolist(), cond.arc_v.tolist()))
         covers = {arc for arc, keep in zip(arcs, cond.covering.tolist()) if keep}
         assert covers == naive_transitive_reduction(cond.num_comps, arcs)
@@ -546,6 +553,7 @@ class TestMonotoneCovers:
         c = generate_choices(truth, e, mode=mode, tie_policy="both" if mode == "strong" else "first")
         r = revealed_relation(*restrict(e, c, data.draw(st.integers(1, len(e)))), mode, monotone=monotone)
         oracle = whole_order_relation(r, monotone)
+        assert (r.condensation.arc_v < r.condensation.arc_u).all(), SCIPY_NUMBERING
         assert np.array_equal(r.arc_matrix, oracle.arc_matrix)
         assert r.condensation.labels.tolist() == oracle.condensation.labels.tolist()
         verdict = check_consistency(r)
@@ -678,6 +686,30 @@ class TestAdversarialFar:
         d = closed_convergence_distance(far, target)
         assert abs(d - 0.8) < 1e-12
         assert exhausted is False
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference_loop(self, data):
+        # lines of 2-6 points and the 2x2 grid. A budget below 50 may run out; all the pairs often leave one
+        # rationalization, whose 51st draw is the 50th stale one, so a budget of 51 runs out on the draw that stops
+        # the search; and a far target on few points reaches the largest distance of the space
+        dims = data.draw(st.integers(1, 2))
+        g = make_grid_euclidean(dims, data.draw(st.integers(2, 6)) if dims == 1 else 2, (0.0, 1.0))
+        monotone = data.draw(st.sampled_from(["none", "weak"]))
+        if monotone == "none":
+            values = np.array(data.draw(st.lists(st.integers(0, 3), min_size=len(g), max_size=len(g))), dtype=float)
+        else:
+            weights = data.draw(st.lists(st.integers(0, 3), min_size=dims, max_size=dims))
+            values = np.rint(g.points * 5) @ np.array(weights, dtype=float)
+        mode = data.draw(st.sampled_from(["strong", "weak"]))
+        e = enumerate_pairs(dense_subset(g), "shuffled", data.draw(st.integers(0, 99)))
+        c = generate_choices(from_utility(g, values), e, mode=mode, tie_policy="both" if mode == "strong" else "first")
+        k = data.draw(st.integers(1, len(e)) | st.just(len(e)))
+        r = revealed_relation(*restrict(e, c, k), mode, monotone=monotone)
+        target = from_utility(g, data.draw(st.sampled_from([-values, np.zeros(len(g)), values])))
+        seed, budget = data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 240) | st.just(51))
+        far, exhausted = adversarial_far_extension(r, target, seed, budget)
+        assert (far.rank.tolist(), exhausted) == reference_far_search(r, target, seed, budget)
 
     def test_policy_requires_target(self):
         with pytest.raises(ConfigurationError):

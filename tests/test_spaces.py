@@ -407,6 +407,16 @@ class TestDenseSubset:
         with pytest.raises(DomainError, match="member 3 is repeated"):
             dense_subset(chain6, members=[1, 3, 0, 3])
 
+    @pytest.mark.parametrize("members, odd", [([1.5, 2], "1.5"), ([True, 3], "True"), (["2", 3], "'2'")],
+                             ids=["fraction", "bool", "string"])
+    def test_member_not_a_whole_number_rejected(self, line5, members, odd):
+        # int() would read these as the points (1, 2), (1, 3) and (2, 3)
+        with pytest.raises(DomainError, match=f"member {odd} is not a whole-number point index"):
+            dense_subset(line5, members=members)
+
+    def test_whole_float_and_numpy_members_kept(self, line5):
+        assert dense_subset(line5, members=[2.0, np.int64(4), np.float64(0.0)]).members == (2, 4, 0)
+
 
 def test_building_a_space_and_subset_builds_no_square_matrix():
     # the chain is checked on the chain's own points and the covering radius is read late, so no
