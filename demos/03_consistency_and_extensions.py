@@ -44,9 +44,10 @@ p = extend_preference(r, RationalizationPolicy(tag="canonical"))
 print(f"canonical ranks: {p.rank.tolist()}")
 assert rationalizes(p, e, c)
 
-# monotonicity can be injected as extra revealed edges before extending
+# monotonicity can be injected as extra revealed edges before extending;
+# the revealed relation carries the monotone class, so the policy names none
 r_mono = revealed_relation(e, c, "strong", monotone="strict")
-p_mono = extend_preference(r_mono, RationalizationPolicy(tag="canonical", monotone="strict"))
+p_mono = extend_preference(r_mono, RationalizationPolicy(tag="canonical"))
 print(f"with strict monotone edges: {p_mono.rank.tolist()}")
 
 # random extensions sample the rationalization set; on a 5-point space

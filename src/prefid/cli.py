@@ -67,9 +67,8 @@ def _cmd_check(args) -> int:
     if not verdict.consistent:
         print(result_to_json("canonical", consistent=False, witness=verdict.witness))
         return 3
-    policy = RationalizationPolicy(tag="canonical", monotone=args.monotone)
-    pref = extend_preference(r, policy)
-    print(result_to_json(policy, consistent=True, preference=pref))
+    pref = extend_preference(r, RationalizationPolicy(tag="canonical"))
+    print(result_to_json("canonical", consistent=True, preference=pref))
     return 0
 
 

@@ -128,8 +128,8 @@ def _defaults(fn) -> dict:
 # or null, and is then not run. An absent diameter.policy_class is the class of policy.monotone's edges.
 _SECTIONS = {
     "schedule": ({"order": _defaults(enumerate_pairs)["schedule"], "seed": 0}, {"seed": 0}, ("order", "seed")),
-    "policy": (dict(_defaults(RationalizationPolicy), target="generator"), {"seed": 0, "budget": 0},
-               ("tag", "monotone")),
+    "policy": (dict(_defaults(RationalizationPolicy), monotone=_defaults(revealed_relation)["monotone"],
+                    target="generator"), {"seed": 0, "budget": 0}, ("tag", "monotone")),
     "subset": (_defaults(dense_subset), {"stride": 1}, ()),
     "diameter": (dict(_defaults(diameter_estimate), policy_class=None), {"num_samples": 0, "seed": 0}, None),
 }
@@ -255,7 +255,11 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def rationalization_policy(self, target: Preference | None = None) -> RationalizationPolicy:
-        return RationalizationPolicy(**dict(self.policy, target=target))
+        """The policy section and `target` as a policy; ConfigurationError for an unknown tag or monotone class."""
+        if self.policy["monotone"] not in _POLICY_CLASSES.values():
+            raise ConfigurationError(f"unknown monotone class {self.policy['monotone']!r}")
+        return RationalizationPolicy(**dict({name: self.policy[name] for name in _defaults(RationalizationPolicy)},
+                                            target=target))
 
 
 _CONFIG_KEYS = {f.name for f in fields(ExperimentConfig)} - {"written"}  # the keys a run config may hold
@@ -321,9 +325,10 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
             raise ConfigurationError(f"unknown policy target {named!r}")
         target = gen if named == "generator" else total_indifference(space)
     policy = config.rationalization_policy(target)
+    policy_monotone = config.policy["monotone"]
 
     # the generated data must fit the policy's class and the diameter's, so the generator must too
-    needs = {policy.monotone}
+    needs = {policy_monotone}
     dcfg = config.diameter
     if dcfg is not None:
         dmonotone = _diameter_monotone(dcfg["policy_class"], dcfg["num_samples"], dcfg["seed"])
@@ -349,7 +354,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     for k in ks:
         t0 = time.perf_counter()
         relations = {monotone: relation.prefix(k) for monotone, relation in full.items()}
-        r = relations[policy.monotone]
+        r = relations[policy_monotone]
         try:
             pref = extend_preference(r, policy)
         except PreconditionError:
@@ -378,7 +383,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
         "version": __version__,
         "mode": config.mode,
         "policy_tag": policy.tag,
-        "policy_monotone": policy.monotone,
+        "policy_monotone": policy_monotone,
         "space_kind": space.kind,
         "num_points": space.num_points,
         "total_pairs": len(e),

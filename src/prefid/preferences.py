@@ -7,6 +7,8 @@ intransitive limit relations are plain boolean matrices.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
@@ -142,16 +144,22 @@ def is_strictly_monotone(p: Preference) -> bool:
     return bool(not (p.space.strict_order & ~p.strict).any())
 
 
+def _radius(radius) -> float:
+    """A radius as a float; DomainError unless it is a finite real number at least 0 (a bool is not one)."""
+    if isinstance(radius, bool) or not isinstance(radius, numbers.Real) or not 0 <= radius < math.inf:
+        raise DomainError(f"radius must be finite and at least 0, got {radius!r}")
+    return float(radius)
+
+
 def is_locally_strict(p: Preference, radius: float):
     """Test that every weak pair has a strict pair within `radius` of it.
 
     Returns (ok, violating (i, j) pairs). Neighborhoods are closed
     max-metric balls around each side of the pair. The radius-dilation of
     p's strict part is exactly {(i, j) : hi[i] > lo[j]} (`_envelopes`).
-    Raises DomainError for a negative or non-finite radius.
+    Raises DomainError for a radius that is not a finite number at least 0.
     """
-    if not (np.isfinite(radius) and radius >= 0):
-        raise DomainError(f"radius must be finite and at least 0, got {radius}")
+    radius = _radius(radius)
     (hi,), (lo,) = _envelopes(p.space, radius, p.rank[None, :])
     bad = p.graph & (hi[:, None] <= lo[None, :])
     ii, jj = np.nonzero(bad)
@@ -302,7 +310,8 @@ def li_ls_limit(seq, radius_schedule, tail_starts=None):
     decreasing radius schedule across the sequence: the j-th radius
     constrains every term from index floor(j*N/m) on (Li) or some term
     from that index on (Ls). Explicit `tail_starts` (one 0-based index per
-    radius) override the default stretch.
+    radius) override the default stretch. Each radius must be finite and
+    at least 0 (DomainError).
     """
     rels = [_as_relation(r) for r in seq]
     if not rels:
@@ -311,7 +320,7 @@ def li_ls_limit(seq, radius_schedule, tail_starts=None):
     for r in rels[1:]:
         if not same_space(space, r.space):
             raise DomainError("relations live on different spaces")
-    schedule = [float(r) for r in radius_schedule]
+    schedule = [_radius(r) for r in radius_schedule]
     if not schedule:
         raise DomainError("empty radius schedule")
     if any(b > a + _EPS for a, b in zip(schedule, schedule[1:])):

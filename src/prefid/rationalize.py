@@ -154,13 +154,11 @@ class RationalizationPolicy:
     """How to pick one preference from the rationalization set.
 
     tag: canonical | adversarial_indifference | adversarial_far | eu_class.
-    monotone records the edge-injection class the revealed relation is
-    expected to carry (none | weak | strict); the extension itself only
-    relies on the injected edges.
+    The revealed relation, not the policy, carries the monotone class:
+    see `revealed_relation`'s `monotone`.
     """
 
     tag: str = "canonical"
-    monotone: str = "none"
     seed: int = 0
     target: Preference | None = None
     budget: int = 400
@@ -168,8 +166,6 @@ class RationalizationPolicy:
     def __post_init__(self):
         if self.tag not in ("canonical", "adversarial_indifference", "adversarial_far", "eu_class"):
             raise ConfigurationError(f"unknown policy tag {self.tag!r}")
-        if self.monotone not in _POLICY_CLASSES.values():
-            raise ConfigurationError(f"unknown monotone class {self.monotone!r}")
         if self.tag == "adversarial_far" and self.target is None:
             raise ConfigurationError("adversarial_far needs a target preference")
 
@@ -726,7 +722,7 @@ def lipschitz_rationalize(e: ExperimentSequence, c: ChoiceSequence, a: float, b:
     linear-index fit, no tie-break phase settles them. With no data they
     are the lowest band staircase (least sum of values).
     """
-    if not (0 < a < b):
+    if not (0 < a < b < math.inf):
         raise ConfigurationError("need 0 < a < b")
     space = e.space
     if space.kind != "euclidean_grid":
@@ -910,24 +906,18 @@ def _relation_diameter(r: RevealedRelation, num_samples: int, seed: int) -> Diam
 
 
 def result_to_json(
-    policy: RationalizationPolicy | str,
+    policy: str,
     consistent: bool,
     preference: Preference | None = None,
     witness: tuple[int, ...] | None = None,
-    delta_c_to_target: float | None = None,
     diameter: DiameterResult | None = None,
 ) -> str:
-    """JSON document for one rationalization outcome."""
-    doc: dict = {
-        "policy": policy if isinstance(policy, str) else policy.tag,
-        "consistent": bool(consistent),
-    }
+    """JSON document for one rationalization outcome; `policy` is the policy tag or class name it was found under."""
+    doc: dict = {"policy": policy, "consistent": bool(consistent)}
     if preference is not None:
         doc["ranks"] = [int(v) for v in preference.rank]
     if witness is not None:
         doc["witness_cycle"] = [int(v) for v in witness]
-    if delta_c_to_target is not None:
-        doc["delta_c_to_target"] = float(delta_c_to_target)
     if diameter is not None:
         doc["diameter"] = {"value": diameter.value, "method": diameter.method,
                            "num_candidates": diameter.num_candidates}

@@ -149,8 +149,11 @@ class OrderedSpace:
         return _frozen(np.unique(self.distance_matrix))
 
     def index_of(self, vector: Sequence[float], tol: float = 1e-9) -> int:
-        """Index of the point matching `vector` within `tol`, else DomainError."""
-        v = np.asarray(vector, dtype=float)
+        """Index of the point matching `vector` within `tol`; DomainError if there is none, or if `vector` is not one
+        number per coordinate."""
+        v = np.asarray(vector)
+        if v.shape != self.points.shape[1:] or v.dtype.kind not in "iuf":
+            raise DomainError(f"a point of this space has {self.points.shape[1]} coordinates, got {vector!r}")
         hits = np.nonzero(np.abs(self.points - v).max(axis=1) <= tol)[0]
         if hits.size == 0:
             raise DomainError(f"no point within {tol} of {vector!r}")
@@ -231,6 +234,18 @@ def _product(*axes: np.ndarray) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+def _widths(bounds: np.ndarray, shape: tuple[int, int], message: str) -> np.ndarray:
+    """hi - lo of each (lo, hi) row of `bounds`; ConfigurationError(message) unless bounds has `shape` and every width
+    is finite and positive. An infinite bound, or finite ones too far apart, make a width that is not finite."""
+    if bounds.shape != shape:
+        raise ConfigurationError(message)
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = bounds[:, 1] - bounds[:, 0]
+    if not (np.isfinite(width) & (width > 0)).all():
+        raise ConfigurationError(message)
+    return width
+
+
 def make_grid_euclidean(dims: int, resolution: int, bounds) -> OrderedSpace:
     """Regular lattice on a box, ordered coordinatewise.
 
@@ -244,13 +259,12 @@ def make_grid_euclidean(dims: int, resolution: int, bounds) -> OrderedSpace:
     bounds = np.asarray(bounds, dtype=float)
     if bounds.ndim == 1:
         bounds = np.tile(bounds, (dims, 1))
-    if bounds.shape != (dims, 2) or not (bounds[:, 1] > bounds[:, 0]).all():
-        raise ConfigurationError("bounds must be nondegenerate intervals, one per dim")
+    width = _widths(bounds, (dims, 2), "bounds must be finite nondegenerate intervals, one per dim")
     points = _product(*(np.linspace(lo, hi, resolution) for lo, hi in bounds))
     # equal-coordinates diagonal: level (l, ..., l) for each l
     ratio = (resolution**dims - 1) // (resolution - 1)
     chain = tuple(l * ratio for l in range(resolution))
-    step = float((bounds[:, 1] - bounds[:, 0]).max() / (resolution - 1))
+    step = float(width.max() / (resolution - 1))
     desc = {"kind": "euclidean_grid", "dims": dims, "resolution": resolution, "bounds": bounds.tolist()}
     return OrderedSpace("euclidean_grid", points, points, chain, step, desc)
 
@@ -296,13 +310,11 @@ def make_dated_rewards(money_resolution: int, time_resolution: int, bounds) -> O
         raise ConfigurationError("need both resolutions >= 2")
     _check_budget("dated_rewards", (money_resolution, time_resolution))
     bounds = np.asarray(bounds, dtype=float)
-    if bounds.shape != (2, 2) or not (bounds[:, 1] > bounds[:, 0]).all():
-        raise ConfigurationError("bounds must be ((money_lo, money_hi), (time_lo, time_hi))")
+    width = _widths(bounds, (2, 2), "bounds must be finite nondegenerate ((money_lo, money_hi), (time_lo, time_hi))")
     points = _product(np.linspace(*bounds[0], money_resolution), np.linspace(*bounds[1], time_resolution))
     chain = [mi * time_resolution + (time_resolution - 1) for mi in range(money_resolution)]
     chain += [(money_resolution - 1) * time_resolution + ti for ti in range(time_resolution - 2, -1, -1)]
-    step = float(max((bounds[0, 1] - bounds[0, 0]) / (money_resolution - 1),
-                     (bounds[1, 1] - bounds[1, 0]) / (time_resolution - 1)))
+    step = float(max(width[0] / (money_resolution - 1), width[1] / (time_resolution - 1)))
     desc = {
         "kind": "dated_rewards",
         "money_resolution": money_resolution,

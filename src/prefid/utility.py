@@ -18,7 +18,6 @@ from .spaces import OrderedSpace, same_space
 
 __all__ = [
     "UtilityFunction",
-    "chain_base",
     "certainty_equivalent_utility",
     "chain_step_bound",
     "ordinal_equivalent",
@@ -55,38 +54,27 @@ class UtilityFunction:
         return same_space(self.space, other.space) and np.array_equal(self.values, other.values)
 
 
-def _resolve_base(space: OrderedSpace, base) -> np.ndarray:
-    """Base values along the chain: an array with one value per chain element, or a UtilityFunction on the
-    space read at the chain's points. DomainError for a wrong length or a utility on another space."""
+def _resolve_base(space: OrderedSpace, base: UtilityFunction) -> np.ndarray:
+    """The base utility's values at the chain's points. DomainError for a base that is not a UtilityFunction, or is
+    one on another space."""
     chain = space.chain
     if not chain:
         raise ConfigurationError("space has no reference chain")
-    if isinstance(base, UtilityFunction):
-        if not same_space(base.space, space):
-            raise DomainError("the base utility lives on another space")
-        arr = base.values[list(chain)]
-    else:
-        arr = np.asarray(base, dtype=float)
-        if arr.shape != (len(chain),):
-            raise DomainError("base array must have one value per chain element")
+    if not isinstance(base, UtilityFunction):
+        raise DomainError(f"the base must be a UtilityFunction on the space, got {type(base).__name__}")
+    if not same_space(base.space, space):
+        raise DomainError("the base utility lives on another space")
+    arr = base.values[list(chain)]
     if not (np.diff(arr) > 0).all():
         raise PreconditionError("base must be strictly increasing along the chain")
     return arr
 
 
-def chain_base(space: OrderedSpace) -> np.ndarray:
-    """Default base: arc position along the chain, 0 at the bottom to 1 at the top."""
-    if not space.chain:
-        raise ConfigurationError("space has no reference chain")
-    m = len(space.chain)
-    return np.linspace(0.0, 1.0, m)
-
-
-def certainty_equivalent_utility(p: Preference, base) -> UtilityFunction:
+def certainty_equivalent_utility(p: Preference, base: UtilityFunction) -> UtilityFunction:
     """Utility of x = base value of the least chain element weakly above x.
 
-    `base` is an array of base values, one per chain element and strictly
-    increasing, or a UtilityFunction on p's space read at the chain's points.
+    `base` is a UtilityFunction on p's space, read at the chain's points,
+    where it must increase strictly.
     Requires a weakly and strictly monotone preference so every point is
     bracketed by the chain and chain ranks increase strictly. The result
     represents a preference within one chain step of p, exactly on points
@@ -105,11 +93,10 @@ def certainty_equivalent_utility(p: Preference, base) -> UtilityFunction:
     return UtilityFunction(space, values)
 
 
-def chain_step_bound(space: OrderedSpace, base) -> float:
+def chain_step_bound(space: OrderedSpace, base: UtilityFunction) -> float:
     """Largest base gap between consecutive chain elements.
 
-    `base` takes the same two forms as in `certainty_equivalent_utility`:
-    an increasing array along the chain, or a UtilityFunction on the space.
+    `base` is a UtilityFunction on the space, as in `certainty_equivalent_utility`.
 
     This is the per-instance error radius of the chain selection: matching
     preferences yield utilities within this bound of the base's extension.

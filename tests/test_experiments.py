@@ -164,6 +164,12 @@ def test_first_empty_choice_is_named_by_its_k(line5):
         ChoiceSequence(e, mask, "strong").chose_mask
 
 
+def test_choice_mask_of_the_wrong_shape_rejected(line5):
+    e = enumerate_pairs(dense_subset(line5))
+    with pytest.raises(DomainError, match="two flags per pair"):
+        ChoiceSequence(e, np.ones((len(e), 3), dtype=bool), "strong")
+
+
 @pytest.mark.parametrize("pairs", [
     pytest.param([(0.5, 2.99)], id="fractional_tuple"),
     pytest.param(np.array([[0.9, 3.2]]), id="fractional_array"),

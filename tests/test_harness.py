@@ -257,6 +257,22 @@ class TestRunConvergence:
         with pytest.raises(ConfigurationError):
             run_convergence(cfg)
 
+    @pytest.mark.parametrize("change, message", [
+        pytest.param({"policy": {"tag": "adversarial_far", "target": "median"}}, "unknown policy target",
+                     id="unknown_target"),
+        # money alone: an earlier reward of the same money strictly dominates but is not strictly preferred
+        pytest.param({"space": {"kind": "dated_rewards", "money_resolution": 3, "time_resolution": 3,
+                                "bounds": [[0.0, 1.0], [0.0, 1.0]]},
+                      "generator": {"formula": "coordinate"}, "policy": {"monotone": "strict"}},
+                     "not strictly monotone", id="weakly_but_not_strictly_monotone_generator"),
+        pytest.param({"subset": {"members": 3}}, "must be a list", id="members_not_a_list"),
+        pytest.param({"generator": {"formula": "linear_index", "params": {"index": 1.0}}}, "must be a list",
+                     id="index_not_a_list"),
+    ])
+    def test_refusals(self, change, message):
+        with pytest.raises(ConfigurationError, match=message):
+            run_convergence(ExperimentConfig.from_dict(dict(BASE_CONFIG, **change)))
+
     def test_eu_class_without_rationalization_gives_failure_rows(self, tmp_path):
         # ties in the generating index leave the linear-index fit without a
         # rationalization from some prefix on; those checkpoints become failure
@@ -485,6 +501,13 @@ class TestCli:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_check_non_finite_bounds_exits_2(self, cli_choices, tmp_path, capsys):
+        # Python's JSON reader takes Infinity, so a descriptor can carry it
+        space = tmp_path / "space.json"
+        space.write_text(json.dumps({"kind": "euclidean_grid", "dims": 1, "resolution": 5, "bounds": [0.0, math.inf]}))
+        assert main(["check", "--data", cli_choices, "--space", str(space), "--mode", "strong"]) == 2
+        assert "bounds must be finite" in capsys.readouterr().err
+
     def test_check_on_1500_prizes_exits_0(self, tmp_path, capsys):
         # 1,500 one-prize lotteries: the space builds without one recursion level per prize
         space = tmp_path / "lottery.json"
@@ -555,6 +578,7 @@ class TestCli:
         pytest.param({"diameter": {"num_samples": -3}}, id="negative_num_samples"),
         pytest.param({"k_grid": ["a"]}, id="k_grid_not_integer"),
         pytest.param({"policy": {"tag": "canonical", "monotone": "none", "budget": "x"}}, id="budget_not_integer"),
+        pytest.param({"policy": {"monotone": "loose"}}, id="unknown_monotone_class"),
         pytest.param({"schedule": {"seed": "x"}}, id="seed_not_integer"),
         pytest.param({"subset": {"stride": 0}}, id="zero_stride"),
         pytest.param({"diameter": [1]}, id="diameter_not_object"),

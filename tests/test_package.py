@@ -10,14 +10,14 @@ from prefid import _version, errors, experiments, harness, preferences, rational
 
 MODULES = (errors, spaces, preferences, experiments, rationalize, utility, harness)
 
-# the public names before each module's `__all__` became their only list
+# the public names before each module's `__all__` became their only list, less `chain_base`, deleted since
 PUBLIC_NAMES = {
     "BinaryRelation", "CapacityError", "ChoiceSequence", "ConfigurationError", "ConsistencyResult",
     "ConvergenceReport", "DenseSubset", "DiameterResult", "DomainError", "EuResult", "ExperimentConfig",
     "ExperimentSequence", "GALLERY_ITEMS", "LipschitzResult", "OrderedSpace", "PreconditionError", "Preference",
     "PrefidError", "RationalizationPolicy", "ReportRow", "ResolutionError", "RevealedEdge", "RevealedRelation",
     "STRONG", "UtilityFunction", "WEAK", "__version__", "adversarial_far_extension", "all_total_preorders",
-    "brute_force_rationalizations", "certainty_equivalent_utility", "chain_base", "chain_step_bound",
+    "brute_force_rationalizations", "certainty_equivalent_utility", "chain_step_bound",
     "check_consistency", "choices_from_csv", "choices_to_csv", "closed_convergence_distance", "default_checkpoints",
     "dense_subset", "diameter_estimate", "emit_report", "enumerate_pairs", "eu_preference", "eu_rationalize",
     "extend_preference", "from_points", "from_utility", "generate_choices", "generator_values",
@@ -31,7 +31,7 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_unchanged():
-    assert len(PUBLIC_NAMES) == 77
+    assert len(PUBLIC_NAMES) == 76
     assert len(prefid.__all__) == len(set(prefid.__all__))
     assert set(prefid.__all__) == PUBLIC_NAMES
 

@@ -217,6 +217,13 @@ class TestLiLsLimit:
         with pytest.raises(DomainError):
             li_ls_limit([p, p], (0.1, 0.5))
 
+    @pytest.mark.parametrize("radius", [-0.1, float("nan"), float("inf"), "0.1", None])
+    def test_radius_must_be_finite_and_at_least_0(self, line5, radius):
+        # a NaN or negative radius would dilate nothing and leave both limits empty
+        p = total_indifference(line5)
+        with pytest.raises(DomainError, match="radius must be finite"):
+            li_ls_limit([p, p], (1.0, radius))
+
 
 class TestLocalStrictness:
     def test_matches_dilation_oracle(self):
@@ -255,6 +262,28 @@ class TestLocalStrictness:
             is_locally_strict(p, radius)
         ok, bad = is_locally_strict(p, 0.0)
         assert not ok and (0, 0) in bad
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s, g: BinaryRelation(s, np.ones((4, 4), dtype=bool)), id="relation_wrong_shape"),
+    pytest.param(lambda s, g: from_utility(s, np.arange(4.0)), id="utility_wrong_length"),
+    pytest.param(lambda s, g: from_utility(s, [0.0, 1.0, np.inf, 2.0, 3.0]), id="utility_not_finite"),
+    pytest.param(lambda s, g: closed_convergence_distance(total_indifference(s).relation(),
+                                                          total_indifference(g).relation()),
+                 id="relation_distance_across_spaces"),
+    pytest.param(lambda s, g: closed_convergence_distance(BinaryRelation(s, np.zeros((5, 5), dtype=bool)),
+                                                          total_indifference(s)), id="distance_to_empty_relation"),
+    pytest.param(lambda s, g: li_ls_limit([], (0.1,)), id="limit_of_no_terms"),
+    pytest.param(lambda s, g: li_ls_limit([total_indifference(s), total_indifference(g)], (0.1,)),
+                 id="limit_across_spaces"),
+    pytest.param(lambda s, g: li_ls_limit([total_indifference(s)], ()), id="limit_empty_schedule"),
+    pytest.param(lambda s, g: li_ls_limit([total_indifference(s)] * 2, (0.5, 0.1), (0,)), id="limit_starts_short"),
+    pytest.param(lambda s, g: li_ls_limit([total_indifference(s)] * 2, (0.5, 0.1), (0, 2)), id="limit_start_past_end"),
+    pytest.param(lambda s, g: li_ls_limit([total_indifference(s)] * 2, (0.5, 0.1), (-1, 0)), id="limit_start_negative"),
+])
+def test_refusals(line5, grid3, call):
+    with pytest.raises(DomainError):
+        call(line5, grid3)
 
 
 class TestQuasitransitivity:

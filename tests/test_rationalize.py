@@ -22,6 +22,7 @@ from prefid import (
     ChoiceSequence,
     ConfigurationError,
     DomainError,
+    ExperimentConfig,
     ExperimentSequence,
     OrderedSpace,
     PreconditionError,
@@ -748,6 +749,13 @@ class TestIndifferenceConstruction:
         with pytest.raises(ConfigurationError):
             indifference_construction(e, c)
 
+    def test_policy_tag_gives_the_construction(self):
+        g = make_grid_euclidean(1, 64, (0.0, 1.0))
+        e = enumerate_pairs(dense_subset(g, members=[0, 21, 42, 63]))
+        c = generate_choices(from_utility(g, g.points[:, 0]), e, mode="strong")
+        policy = RationalizationPolicy(tag="adversarial_indifference")
+        assert extend_preference(revealed_relation(e, c, "strong"), policy) == indifference_construction(e, c)
+
     def test_monotone_edges_rejected_by_policy(self):
         g = make_grid_euclidean(1, 64, (0.0, 1.0))
         e, c = dataset(g, [(0, 63, (63,))], "strong")
@@ -853,6 +861,14 @@ class TestLipschitzRationalize:
         e, c = dataset(line5, [(0, 3, (3,))], "weak")
         with pytest.raises(ConfigurationError):
             lipschitz_rationalize(e, c, 1.0, 2.0)
+
+    @pytest.mark.parametrize("a, b", [(0.5, math.inf), (0.5, math.nan), (math.nan, 1.0), (math.inf, math.inf)])
+    def test_non_finite_band_rejected(self, a, b):
+        # an infinite b would pass 0 < a < b and reach the solver as an infinite bound
+        g = make_grid_euclidean(1, 4, (0.0, 1.0))
+        e, c = dataset(g, [(0, 3, (3,))], "weak")
+        with pytest.raises(ConfigurationError, match="0 < a < b"):
+            lipschitz_rationalize(e, c, a, b)
 
 
 class TestEnumeration:
@@ -1078,7 +1094,7 @@ class TestResultJson:
         p = extend_preference(r, RationalizationPolicy())
         diam = diameter_estimate(e, c)
         doc = json.loads(
-            result_to_json(RationalizationPolicy(), True, preference=p, diameter=diam)
+            result_to_json("canonical", True, preference=p, diameter=diam)
         )
         assert doc["policy"] == "canonical"
         assert doc["consistent"] is True
@@ -1091,8 +1107,14 @@ class TestResultJson:
         assert doc["witness_cycle"] == [0, 1, 0]
         assert "ranks" not in doc
 
-    def test_policy_validation(self):
+    def test_policy_validation(self, line5):
         with pytest.raises(ConfigurationError):
             RationalizationPolicy(tag="optimist")
-        with pytest.raises(ConfigurationError):
-            RationalizationPolicy(monotone="loose")
+        # the monotone class is the revealed relation's, and it refuses an unknown one
+        e, c = dataset(line5, [(0, 3, (3,))], "strong")
+        with pytest.raises(ConfigurationError, match="unknown monotone class 'loose'"):
+            revealed_relation(e, c, "strong", monotone="loose")
+        config = ExperimentConfig.from_dict({"space": line5.descriptor, "generator": {"formula": "sum"},
+                                             "policy": {"monotone": "loose"}})
+        with pytest.raises(ConfigurationError, match="unknown monotone class 'loose'"):
+            config.rationalization_policy()

@@ -264,6 +264,32 @@ class TestGrid:
             make_grid_euclidean(2, 1, (0.0, 1.0))
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_grid_euclidean(1, 3, (0.0, np.inf)), id="grid_infinite_bound"),
+    pytest.param(lambda: make_grid_euclidean(1, 3, (-1e308, 1e308)), id="grid_width_overflows"),
+    pytest.param(lambda: make_dated_rewards(2, 3, ((0.0, np.inf), (0.0, 1.0))), id="dated_infinite_bound"),
+])
+def test_non_finite_bounds_rejected(build):
+    # refused for their bounds, before a linspace over them warns and the chain check blames the chain
+    with pytest.raises(ConfigurationError, match="bounds must be finite"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: from_points([0.0, 1.0, 2.0], chain=[2, 1]), "not strictly increasing",
+                 id="chain_not_increasing"),
+    pytest.param(lambda: from_points([0.0, 1.0, 2.0], chain=[0, 1]), "does not bound", id="chain_not_bounding"),
+    pytest.param(lambda: make_lottery_simplex(3, 0), "resolution >= 1", id="lottery_resolution_0"),
+    pytest.param(lambda: make_dated_rewards(2, 3, (0.0, 1.0)), "bounds must be", id="dated_bounds_wrong_shape"),
+    pytest.param(lambda: make_aa_acts(0, make_lottery_simplex(2, 2)), "num_states >= 1", id="acts_without_states"),
+    pytest.param(lambda: make_aa_acts(2, make_grid_euclidean(1, 3, (0.0, 1.0))), "lottery_simplex",
+                 id="acts_over_a_grid"),
+])
+def test_builder_refusals(build, message):
+    with pytest.raises(ConfigurationError, match=message):
+        build()
+
+
 class TestLotterySimplex:
     def test_point_count_and_step(self):
         # compositions of `resolution` into 3 parts
@@ -488,6 +514,17 @@ class TestIndexOf:
         assert grid3.index_of([0.5 + 1e-12, 0.5]) == 4
         with pytest.raises(DomainError):
             grid3.index_of([0.3, 0.3])
+
+    @pytest.mark.parametrize("vector", [
+        pytest.param([0.5], id="one_number"),
+        pytest.param([0.5, 0.5, 0.5], id="three_numbers"),
+        pytest.param("ab", id="text"),
+        pytest.param(["a", "b"], id="list_of_text"),
+    ])
+    def test_vector_not_one_number_per_coordinate_rejected(self, grid3, vector):
+        # [0.5] would broadcast to (0.5, 0.5), point 4
+        with pytest.raises(DomainError, match="has 2 coordinates"):
+            grid3.index_of(vector)
 
 
 @settings(max_examples=40, deadline=None)

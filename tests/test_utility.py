@@ -14,7 +14,6 @@ from prefid import (
 from prefid.utility import (
     UtilityFunction,
     certainty_equivalent_utility,
-    chain_base,
     chain_step_bound,
     max_norm_distance,
     ordinal_equivalent,
@@ -50,28 +49,33 @@ class TestUtilityFunction:
         assert a != c
 
 
-class TestChainBase:
-    def test_linear_base(self, grid3):
-        np.testing.assert_allclose(chain_base(grid3), [0.0, 0.5, 1.0])
+def chain_utility(space, chain_values):
+    """A utility on the space with the given values at its chain's points and 0 elsewhere."""
+    values = np.zeros(space.num_points)
+    values[list(space.chain)] = chain_values
+    return UtilityFunction(space, values)
 
+
+class TestChainBase:
     def test_no_chain_rejected(self, line5):
         # point-cloud spaces carry no reference chain
         with pytest.raises(ConfigurationError):
-            chain_base(line5)
+            chain_step_bound(line5, UtilityFunction(line5, np.arange(5.0)))
 
     def test_step_bound_is_max_gap(self, grid3):
-        assert chain_step_bound(grid3, chain_base(grid3)) == 0.5
-        assert chain_step_bound(grid3, [0.0, 0.1, 1.0]) == 0.9
+        assert chain_step_bound(grid3, chain_utility(grid3, [0.0, 0.5, 1.0])) == 0.5
+        assert chain_step_bound(grid3, chain_utility(grid3, [0.0, 0.1, 1.0])) == 0.9
 
     def test_base_must_increase(self, grid3):
         with pytest.raises(PreconditionError):
-            chain_step_bound(grid3, [0.0, 0.5, 0.5])
+            chain_step_bound(grid3, chain_utility(grid3, [0.0, 0.5, 0.5]))
 
-    def test_base_array_needs_one_value_per_chain_element(self, grid3):
-        with pytest.raises(DomainError):
-            chain_step_bound(grid3, [0.0, 1.0])
-        with pytest.raises(DomainError):
-            chain_step_bound(grid3, [[0.0, 0.5, 1.0]])
+    def test_base_that_is_not_a_utility_is_refused(self, grid3):
+        p = from_utility(grid3, grid3.points.sum(axis=1))
+        with pytest.raises(DomainError, match="got list"):
+            chain_step_bound(grid3, [0.0, 0.5, 1.0])
+        with pytest.raises(DomainError, match="got ndarray"):
+            certainty_equivalent_utility(p, np.array([0.0, 0.5, 1.0]))
 
     def test_base_utility_is_read_at_the_chain_of_its_own_space(self, grid3):
         # the chain points (0,0), (.5,.5), (1,1) have sums 0, 1, 2
@@ -90,17 +94,17 @@ class TestCertaintyEquivalent:
         # ranks of the sum utility along the chain are 0, 2, 4; every other
         # point selects the first chain rank at or above its own
         p = from_utility(grid3, grid3.points.sum(axis=1))
-        u = certainty_equivalent_utility(p, chain_base(grid3))
+        u = certainty_equivalent_utility(p, chain_utility(grid3, [0.0, 0.5, 1.0]))
         np.testing.assert_allclose(
             u.values, [0.0, 0.5, 0.5, 0.5, 0.5, 1.0, 0.5, 1.0, 1.0]
         )
 
     def test_exact_on_chain_points(self, grid3):
         p = from_utility(grid3, grid3.points.sum(axis=1))
-        u = certainty_equivalent_utility(p, chain_base(grid3))
-        base = chain_base(grid3)
-        for pos, idx in enumerate(grid3.chain):
-            assert u(idx) == base[pos]
+        base = chain_utility(grid3, [0.0, 0.5, 1.0])
+        u = certainty_equivalent_utility(p, base)
+        for idx in grid3.chain:
+            assert u(idx) == base(idx)
 
     def test_within_one_chain_step_of_generator(self, grid3):
         # the generator itself, then perturbations of it that reorder points
@@ -122,17 +126,17 @@ class TestCertaintyEquivalent:
     def test_requires_strict_monotonicity(self, grid3):
         flat = from_utility(grid3, np.minimum(grid3.points.sum(axis=1), 1.0))
         with pytest.raises(PreconditionError):
-            certainty_equivalent_utility(flat, chain_base(grid3))
+            certainty_equivalent_utility(flat, chain_utility(grid3, [0.0, 0.5, 1.0]))
 
     def test_requires_weak_monotonicity(self, grid3):
         down = from_utility(grid3, -grid3.points.sum(axis=1))
         with pytest.raises(PreconditionError):
-            certainty_equivalent_utility(down, chain_base(grid3))
+            certainty_equivalent_utility(down, chain_utility(grid3, [0.0, 0.5, 1.0]))
 
     def test_requires_chain(self, chain6):
         p = from_utility(chain6, chain6.points[:, 0])
         with pytest.raises(ConfigurationError):
-            certainty_equivalent_utility(p, [0.0, 1.0])
+            certainty_equivalent_utility(p, UtilityFunction(chain6, chain6.points[:, 0]))
 
 
 class TestOrdinalEquivalence:
