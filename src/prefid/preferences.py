@@ -15,7 +15,7 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from .errors import DomainError
-from .spaces import _EPS, OrderedSpace, same_space
+from .spaces import _EPS, OrderedSpace, _frozen, same_space
 
 __all__ = [
     "Preference",
@@ -50,22 +50,16 @@ class Preference:
             raise DomainError("rank must assign one integer per point")
         # densify so equality of preorders is array equality
         _, dense = np.unique(r, return_inverse=True)
-        dense = np.ascontiguousarray(dense.astype(np.int64))
-        dense.setflags(write=False)
-        object.__setattr__(self, "rank", dense)
+        object.__setattr__(self, "rank", _frozen(dense.astype(np.int64)))
 
     @cached_property
     def graph(self) -> np.ndarray:
         """Boolean matrix of the relation: [i, j] true iff i weakly preferred to j."""
-        g = self.rank[:, None] >= self.rank[None, :]
-        g.setflags(write=False)
-        return g
+        return _frozen(self.rank[:, None] >= self.rank[None, :])
 
     @cached_property
     def strict(self) -> np.ndarray:
-        s = self.rank[:, None] > self.rank[None, :]
-        s.setflags(write=False)
-        return s
+        return _frozen(self.rank[:, None] > self.rank[None, :])
 
     def relation(self) -> "BinaryRelation":
         return BinaryRelation(self.space, self.graph)
@@ -94,9 +88,7 @@ class BinaryRelation:
         n = self.space.num_points
         if m.shape != (n, n):
             raise DomainError("relation matrix shape must be (n, n)")
-        m = np.ascontiguousarray(m)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _frozen(m))
 
     def is_complete(self) -> bool:
         return bool((self.matrix | self.matrix.T).all())

@@ -148,15 +148,15 @@ class OrderedSpace:
         """Sorted distinct values of the distance matrix."""
         return _frozen(np.unique(self.distance_matrix))
 
-    def index_of(self, vector: Sequence[float], tol: float = 1e-9) -> int:
-        """Index of the point matching `vector` within `tol`; DomainError if there is none, or if `vector` is not one
-        number per coordinate."""
+    def index_of(self, vector: Sequence[float]) -> int:
+        """Index of the first point within 1e-9 of `vector` in every coordinate; DomainError if there is none, or if
+        `vector` is not one number per coordinate."""
         v = np.asarray(vector)
         if v.shape != self.points.shape[1:] or v.dtype.kind not in "iuf":
             raise DomainError(f"a point of this space has {self.points.shape[1]} coordinates, got {vector!r}")
-        hits = np.nonzero(np.abs(self.points - v).max(axis=1) <= tol)[0]
+        hits = np.nonzero(np.abs(self.points - v).max(axis=1) <= 1e-9)[0]
         if hits.size == 0:
-            raise DomainError(f"no point within {tol} of {vector!r}")
+            raise DomainError(f"no point within 1e-9 of {vector!r}")
         return int(hits[0])
 
 
@@ -353,8 +353,8 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
 
     For irregular alternatives sets (disconnected intervals, scattered
     points). `points` is a 1-D array (one coordinate per point) or a 2-D
-    array of finite numbers; anything else raises ConfigurationError.
-    `step` is the smallest positive pairwise distance.
+    array of finite numbers, each two a finite distance apart; anything else
+    raises ConfigurationError. `step` is the smallest positive pairwise distance.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
@@ -364,7 +364,10 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
     if points.shape[0] < 2:
         raise ConfigurationError("need at least 2 points")
     _check_budget("euclidean_points", (points.shape[0],))
-    distance = _coordinatewise(points[:, None], points, _gap, np.maximum)
+    with np.errstate(over="ignore"):
+        distance = _coordinatewise(points[:, None], points, _gap, np.maximum)
+    if not np.isfinite(distance).all():
+        raise ConfigurationError("points must be near enough that every distance between them is finite")
     off_diagonal = distance[~np.eye(points.shape[0], dtype=bool)]
     if (off_diagonal == 0).any():
         raise ConfigurationError("points must be distinct")

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError, PreconditionError
 from .preferences import Preference, from_utility, is_strictly_monotone, is_weakly_monotone
-from .spaces import OrderedSpace, same_space
+from .spaces import OrderedSpace, _frozen, same_space
 
 __all__ = [
     "UtilityFunction",
@@ -38,9 +38,7 @@ class UtilityFunction:
             raise DomainError("values must cover every point exactly once")
         if not np.isfinite(vals).all():
             raise DomainError("values must be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _frozen(vals.copy()))
 
     def __call__(self, index: int) -> float:
         return float(self.values[index])

@@ -350,20 +350,22 @@ class TestRankingKernel:
         assert check_consistency(r).consistent
         lowest, highest = longest_path_ranks(g.num_points, [(ed.x, ed.y, ed.strict) for ed in r.edges])
         cond = r.condensation
-        assert _min_height(cond)[cond.labels].tolist() == lowest
-        assert _max_height(cond)[cond.labels].tolist() == highest
+        # the heights walk the arcs once, in stored order: each arc's head must come before its tail
+        assert (cond.arc_v < cond.arc_u).all(), SCIPY_NUMBERING
+        assert _min_height(cond).tolist() == lowest
+        assert _max_height(cond).tolist() == highest
 
     @staticmethod
-    def assert_deep_ranks_match_oracle(r, min_levels):
+    def assert_deep_ranks_match_oracle(r, min_points):
         edges = list(zip(r.x.tolist(), r.y.tolist(), r.strict.tolist()))
         n = r.space.num_points
-        # the ranking passes as many levels as the longest path has points, counting every arc
-        levels, _ = longest_path_ranks(n, [(x, y, True) for x, y, _ in edges])
-        assert max(levels) + 1 >= min_levels
+        # the case holds a long chain: its longest path, counting every arc, has at least min_points points
+        chain, _ = longest_path_ranks(n, [(x, y, True) for x, y, _ in edges])
+        assert max(chain) + 1 >= min_points
         lowest, highest = longest_path_ranks(n, edges)
         cond = r.condensation
-        assert _min_height(cond)[cond.labels].tolist() == lowest
-        assert _max_height(cond)[cond.labels].tolist() == highest
+        assert _min_height(cond).tolist() == lowest
+        assert _max_height(cond).tolist() == highest
 
     def test_long_line_under_full_strong_data(self):
         line = make_grid_euclidean(1, 24, (0.0, 1.0))
@@ -455,8 +457,9 @@ def oracle_sample(r, rng, merge_prob):
 
 
 # under another numbering the cover walk would keep extra arcs, which the sampler reads with the same draws
-SCIPY_NUMBERING = ("a condensation arc runs from a lower component id to a higher one: the cover walk and every "
-                   "seeded pin depend on SciPy numbering strong components in reverse topological order")
+SCIPY_NUMBERING = ("a condensation arc runs from a lower component id to a higher one: the cover walk, the extremal "
+                   "ranks and every seeded pin depend on SciPy numbering strong components in reverse topological "
+                   "order")
 
 
 class TestCoverWalk:

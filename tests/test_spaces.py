@@ -279,6 +279,8 @@ def test_non_finite_bounds_rejected(build):
     pytest.param(lambda: from_points([0.0, 1.0, 2.0], chain=[2, 1]), "not strictly increasing",
                  id="chain_not_increasing"),
     pytest.param(lambda: from_points([0.0, 1.0, 2.0], chain=[0, 1]), "does not bound", id="chain_not_bounding"),
+    pytest.param(lambda: from_points([-1e308, 1e308]), "every distance between them is finite",
+                 id="points_distance_not_finite"),
     pytest.param(lambda: make_lottery_simplex(3, 0), "resolution >= 1", id="lottery_resolution_0"),
     pytest.param(lambda: make_dated_rewards(2, 3, (0.0, 1.0)), "bounds must be", id="dated_bounds_wrong_shape"),
     pytest.param(lambda: make_aa_acts(0, make_lottery_simplex(2, 2)), "num_states >= 1", id="acts_without_states"),
