@@ -15,7 +15,7 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from .errors import DomainError
-from .spaces import _EPS, OrderedSpace, _frozen, same_space
+from .spaces import _EPS, OrderedSpace, _frozen, _owned, same_space
 
 __all__ = [
     "Preference",
@@ -78,17 +78,17 @@ class Preference:
 
 @dataclass(frozen=True, eq=False)
 class BinaryRelation:
-    """An arbitrary relation on a space's points, as a boolean matrix."""
+    """An arbitrary relation on a space's points, as a read-only boolean matrix that no caller shares (`_owned`)."""
 
     space: OrderedSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=bool)
+        m = _owned(self.matrix, dtype=bool)
         n = self.space.num_points
         if m.shape != (n, n):
             raise DomainError("relation matrix shape must be (n, n)")
-        object.__setattr__(self, "matrix", _frozen(m))
+        object.__setattr__(self, "matrix", m)
 
     def is_complete(self) -> bool:
         return bool((self.matrix | self.matrix.T).all())
@@ -332,5 +332,5 @@ def li_ls_limit(seq, radius_schedule, tail_starts=None):
         met = _dilate(space, r, graphs[start:])
         li &= met.all(axis=0)
         ls &= met.any(axis=0)
-    return BinaryRelation(space, li), BinaryRelation(space, ls)
+    return BinaryRelation(space, _frozen(li)), BinaryRelation(space, _frozen(ls))
 

@@ -8,8 +8,10 @@ set of rationalizations.
 
 from __future__ import annotations
 
+import array
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -21,7 +23,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import CapacityError, ConfigurationError, DomainError, PreconditionError, ResolutionError
 from .experiments import STRONG, WEAK, ChoiceSequence, ExperimentSequence
 from .preferences import Preference, _distance_to, _graph_diameter, from_utility
-from .spaces import OrderedSpace, _frozen, same_space
+from .spaces import OrderedSpace, _frozen, _int_field, _owned, same_space
 
 __all__ = [
     "RevealedEdge",
@@ -85,6 +87,9 @@ class RevealedRelation:
     order's transitive closure: the components, the verdict and the ranks
     read the edges alone. `whole_cells` adds back every pair of the order
     for the readers that see more than the closure.
+
+    The arrays are held read-only; an array passed in is copied unless it
+    is read-only and owns its memory, so the caller's own stays writeable.
     """
 
     space: OrderedSpace
@@ -96,7 +101,7 @@ class RevealedRelation:
 
     def __post_init__(self):
         for name in ("x", "y", "strict", "pair_index"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+            object.__setattr__(self, name, _owned(getattr(self, name)))
 
     @cached_property
     def edges(self) -> tuple[RevealedEdge, ...]:
@@ -139,8 +144,9 @@ class RevealedRelation:
         """The edges the first k pairs reveal, pair_index <= k, and every monotonicity edge; self if all stay."""
         keep = self.pair_index <= k
         columns = (self.x, self.y, self.strict, self.pair_index)
-        return self if keep.all() else RevealedRelation(self.space, *(column[keep] for column in columns),
-                                                        self.monotone)
+        if keep.all():
+            return self
+        return RevealedRelation(self.space, *(_frozen(column[keep]) for column in columns), self.monotone)
 
     def data_edges(self) -> np.ndarray:
         """Mask of the edges revealed by the data, the ones with a pair."""
@@ -153,7 +159,9 @@ class RationalizationPolicy:
 
     tag: canonical | adversarial_indifference | adversarial_far | eu_class.
     The revealed relation, not the policy, carries the monotone class:
-    see `revealed_relation`'s `monotone`.
+    see `revealed_relation`'s `monotone`. seed and budget are whole numbers
+    of at least 0 (ConfigurationError otherwise); see
+    `adversarial_far_extension`.
     """
 
     tag: str = "canonical"
@@ -166,6 +174,8 @@ class RationalizationPolicy:
             raise ConfigurationError(f"unknown policy tag {self.tag!r}")
         if self.tag == "adversarial_far" and self.target is None:
             raise ConfigurationError("adversarial_far needs a target preference")
+        object.__setattr__(self, "seed", _int_field("seed", self.seed, minimum=0))
+        object.__setattr__(self, "budget", _int_field("budget", self.budget, minimum=0))
 
 
 @dataclass(frozen=True)
@@ -205,7 +215,7 @@ def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monot
     for is_strict in {"none": (), "weak": (False,), "strict": (False, True)}[monotone]:
         ii, jj = np.nonzero(e.space.strict_covers if is_strict else e.space.weak_covers)
         columns.append((ii, jj, np.full(len(ii), is_strict), np.zeros(len(ii), dtype=np.int64)))
-    return RevealedRelation(e.space, *(np.concatenate(column) for column in zip(*columns)), monotone)
+    return RevealedRelation(e.space, *(_frozen(np.concatenate(column)) for column in zip(*columns)), monotone)
 
 
 @dataclass(frozen=True)
@@ -385,24 +395,93 @@ def sample_extension(r: RevealedRelation, rng, merge_prob: float = 0.5) -> Prefe
     follows covering arcs only. What is taken is always a down-set, so each
     component becomes ready when its last lower cover is taken, the step it
     would on all arcs: every seeded draw is unchanged.
+
+    The draws are the ones `rng.integers` and `rng.random` would make, and
+    rng is left where they would leave it (see `_RawWords`). Raises
+    ConfigurationError for a merge_prob outside [0, 1] or a Generator on
+    MT19937, PreconditionError for inconsistent data.
     """
-    rng = np.random.default_rng(rng)  # a Generator passes through unaltered
+    if not (isinstance(merge_prob, numbers.Real) and 0.0 <= merge_prob <= 1.0):
+        raise ConfigurationError(f"merge_prob must lie in [0, 1], got {merge_prob!r}")
+    words = _RawWords(np.random.default_rng(rng))  # a Generator passes through unaltered
     cond = r.condensation
     if not cond.consistent:
         raise PreconditionError("data is not rationalizable")
-    return Preference(r.space, _sample_ranks(cond, rng, merge_prob))
+    ranks = _sample_ranks(cond, words, merge_prob)
+    words.sync()
+    return Preference(r.space, ranks)
 
 
-def _sample_ranks(cond: _Condensation, rng: np.random.Generator, merge_prob: float) -> np.ndarray:
+# words drawn from the bit generator at a time: past 64, a sampled diameter on a 12x12 grid runs no faster
+_BLOCK = 64
+
+
+class _RawWords:
+    """A Generator's `integers(m)` and `random()` draws, read from its bit generator's 64-bit words in blocks.
+
+    NumPy serves `integers(m)`, for 1 < m < 2**32, from 32-bit halves: the low half of a fresh word first, then
+    the high half, which it keeps in the bit generator's state (`has_uint32`, `uinteger`; the value stays there
+    after it is used). A half x maps to x * m >> 32, rejected while the product's low 32 bits fall below
+    (2**32 - m) % m (D. Lemire, "Fast Random Integer Generation in an Interval", ACM TOMACS 2019). `random()` is
+    a fresh word's top 53 bits, which leaves the kept half alone. Reading the same words here gives the same
+    values, bit for bit, for a small part of a NumPy call's cost each.
+
+    The bit generator runs ahead of the draws by up to a block; `sync()` sets it where NumPy's own draws would
+    have left it, kept half included. A bit generator without a kept half (MT19937) is refused with
+    ConfigurationError.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._bits = rng.bit_generator
+        self._start = self._bits.state
+        if "has_uint32" not in self._start:
+            raise ConfigurationError(f"the sampler reads 32-bit halves of 64-bit words, which a "
+                                     f"{self._start['bit_generator']} generator does not keep")
+        self._has_half, self._half = bool(self._start["has_uint32"]), self._start["uinteger"]
+        # the unread words of the last block, next one last, in 8 bytes each (a Python int takes 36)
+        self._words, self._drawn = array.array("Q"), 0
+
+    def _refill(self) -> array.array:
+        self._words = array.array("Q", self._bits.random_raw(_BLOCK)[::-1].tobytes())
+        self._drawn += _BLOCK
+        return self._words
+
+    def integers(self, m: int) -> int:
+        """`Generator.integers(m)` for 1 < m < 2**32."""
+        while True:
+            if self._has_half:
+                self._has_half, half = False, self._half
+            else:
+                word = (self._words or self._refill()).pop()
+                self._has_half, self._half, half = True, word >> 32, word & 0xFFFFFFFF
+            product = half * m
+            low = product & 0xFFFFFFFF
+            if low >= m or low >= (0x100000000 - m) % m:  # the threshold is below m, so a low part of m or more stands
+                return product >> 32
+
+    def random(self) -> float:
+        """`Generator.random()`."""
+        return ((self._words or self._refill()).pop() >> 11) * 2.0**-53
+
+    def sync(self) -> None:
+        """Leave the bit generator as NumPy's draws would have, the kept half included; the reader's last call."""
+        self._bits.state = self._start
+        self._bits.random_raw(self._drawn - len(self._words))
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = int(self._has_half), self._half
+        self._bits.state = state
+
+
+def _sample_ranks(cond: _Condensation, words: _RawWords, merge_prob: float) -> np.ndarray:
     """`sample_extension`'s dense rank row over the points, drawn from the consistent data's condensation.
 
     `ready` starts with the components that beat nothing, ascending; a taken
     component releases the components above it in ascending order. A lone
-    ready component is taken without a draw: `rng.integers(1)` would
+    ready component is taken without a draw: NumPy's `integers(1)` would
     consume no randomness either. Every level holds a component and every
     component a point, so the row is dense as drawn.
     """
-    integers, random = rng.integers, rng.random
+    integers, random = words.integers, words.random
     strict_near, above = cond.strict_near, cond.above
     remaining = list(cond.num_lower_covers)
     ready = [comp for comp, count in enumerate(remaining) if count == 0]
@@ -422,6 +501,10 @@ def _sample_ranks(cond: _Condensation, rng: np.random.Generator, merge_prob: flo
     return np.array(levels, dtype=np.int64)[cond.labels]
 
 
+# the far search's merge probabilities, one drawn per trial as `rng.choice` of this list would
+_FAR_MERGE_PROBS = (0.0, 0.15, 0.4, 0.7, 0.9)
+
+
 def adversarial_far_extension(
     r: RevealedRelation,
     target: Preference,
@@ -435,17 +518,22 @@ def adversarial_far_extension(
     from the target. The search stops once the best distance reaches the
     diameter of the space, or after max(50, budget // 4) draws in a row
     without improvement. Returns (best preference found, budget_exhausted);
-    the flag is True when the budget ran out before either stop. The target
-    side of every distance (its rank envelopes at each radius) is computed
-    once per search, not once per draw.
+    the flag is True when the budget ran out before either stop; a budget
+    of 0 makes one draw. The target side of every distance (its rank
+    envelopes at each radius) is computed once per search, not once per
+    draw. Raises ConfigurationError unless seed and budget are whole
+    numbers of at least 0, PreconditionError for inconsistent data.
     """
+    seed, budget = _int_field("seed", seed, minimum=0), _int_field("budget", budget, minimum=0)
     _require_consistent(r)
     distance = _distance_to(target)
-    rng = np.random.default_rng(seed)
+    cond = r.condensation
+    # the seed's own generator, read by one reader for the whole search and by no one after it: never synced
+    words = _RawWords(np.random.default_rng(seed))
     best, best_d, stale = None, -1.0, 0
     for _ in range(max(1, budget)):
-        merge_prob = float(rng.choice([0.0, 0.15, 0.4, 0.7, 0.9]))
-        cand = sample_extension(r, rng, merge_prob=merge_prob)
+        merge_prob = _FAR_MERGE_PROBS[words.integers(len(_FAR_MERGE_PROBS))]
+        cand = Preference(r.space, _sample_ranks(cond, words, merge_prob))
         d = distance(cand)
         if d > best_d:
             best, best_d, stale = cand, d, 0
@@ -884,10 +972,10 @@ def _relation_diameter(r: RevealedRelation, num_samples: int, seed: int) -> Diam
     _require_consistent(r)
     cond = r.condensation
     draws = [_min_height(cond), _max_height(cond)]
-    rng = np.random.default_rng(seed)
+    words = _RawWords(np.random.default_rng(seed))  # the seed's own generator, never read again: never synced
     probs = [0.0, 0.25, 0.5, 0.85]
     for i in range(max(0, num_samples - len(draws))):
-        draws.append(_sample_ranks(cond, rng, probs[i % len(probs)]))
+        draws.append(_sample_ranks(cond, words, probs[i % len(probs)]))
     uniq = np.unique(np.stack(draws), axis=0)
     return DiameterResult(_graph_diameter(space, uniq), "sampled", int(uniq.shape[0]))
 

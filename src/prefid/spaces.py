@@ -45,6 +45,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(a, dtype=None) -> np.ndarray:
+    """A caller's input as a read-only array of its own: an array is copied unless it is read-only and owns its memory.
+
+    Freezing a caller's writeable array would freeze theirs, and a read-only view would show their writes.
+    """
+    shared = isinstance(a, np.ndarray) and (a.flags.writeable or not a.flags.owndata)
+    return _frozen(np.array(a, dtype=dtype) if shared else np.asarray(a, dtype=dtype))
+
+
 @dataclass(frozen=True)
 class OrderedSpace:
     """A finite set of alternatives with a partial order and a metric.
@@ -355,8 +364,9 @@ def from_points(points, chain: Sequence[int] = ()) -> OrderedSpace:
     points). `points` is a 1-D array (one coordinate per point) or a 2-D
     array of finite numbers, each two a finite distance apart; anything else
     raises ConfigurationError. `step` is the smallest positive pairwise distance.
+    A points array is copied unless it is read-only and owns its memory, so the caller's own stays writeable.
     """
-    points = np.asarray(points, dtype=float)
+    points = _owned(points, dtype=float)
     if points.ndim == 1:
         points = points[:, None]
     if points.ndim != 2 or points.shape[1] == 0 or not np.isfinite(points).all():

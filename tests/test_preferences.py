@@ -58,6 +58,17 @@ class TestPreference:
             pref(line5, (0, 1, 2))
 
 
+def test_relation_leaves_the_callers_matrix_writeable(line5):
+    m = np.zeros((5, 5), dtype=bool)
+    rel = BinaryRelation(line5, m)
+    view = m.view()
+    view.flags.writeable = False
+    rel_of_view = BinaryRelation(line5, view)
+    m[0, 1] = True
+    assert not rel.matrix[0, 1] and not rel.matrix.flags.writeable
+    assert not rel_of_view.matrix[0, 1]
+
+
 class TestFromUtility:
     def test_ranks_follow_values(self, line5):
         p = from_utility(line5, np.array([0.3, 0.3, -1.0, 2.0, 0.5]))

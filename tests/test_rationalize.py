@@ -134,6 +134,14 @@ def edge_sets(r):
 
 
 class TestRevealedRelation:
+    def test_leaves_the_callers_arrays_writeable(self, line5):
+        columns = [np.array([3]), np.array([0]), np.array([True]), np.array([1])]
+        r = RevealedRelation(line5, *columns)
+        for column in columns:
+            column[0] = 0
+        assert [r.x.tolist(), r.y.tolist(), r.strict.tolist(), r.pair_index.tolist()] == [[3], [0], [True], [1]]
+        assert not any(column.flags.writeable for column in (r.x, r.y, r.strict, r.pair_index))
+
     def test_weak_mode_yields_weak_edges(self, line5):
         e, c = dataset(line5, [(0, 3, (3,))], "weak")
         r = revealed_relation(e, c, "weak")
@@ -440,6 +448,50 @@ class TestSampleExtension:
         with pytest.raises(PreconditionError):
             sample_extension(r, 0)
 
+    @pytest.mark.parametrize("merge_prob", [-0.5, float("nan"), 1.5, "0.5"])
+    def test_merge_prob_outside_the_unit_interval_rejected(self, line5, merge_prob):
+        e, c = dataset(line5, [(0, 3, (3,))], "weak")
+        with pytest.raises(ConfigurationError, match="merge_prob"):
+            sample_extension(revealed_relation(e, c, "weak"), 0, merge_prob)
+
+    def test_mt19937_generator_rejected(self, line5):
+        # its words are 32 bits and it keeps no half of one: the sampler cannot read its draws from them
+        e, c = dataset(line5, [(0, 3, (3,))], "weak")
+        with pytest.raises(ConfigurationError, match="MT19937"):
+            sample_extension(revealed_relation(e, c, "weak"), np.random.Generator(np.random.MT19937(0)))
+
+
+def comparable_state(state):
+    """A bit generator's state with its arrays as lists, so that two states compare with ==."""
+    return {key: comparable_state(value) if isinstance(value, dict) else
+            value.tolist() if isinstance(value, np.ndarray) else value for key, value in state.items()}
+
+
+class TestRawWords:
+    """The sampler's word reader against the Generator draws it stands for."""
+
+    # the three largest reject about half, a quarter and almost none of their first draws
+    BOUNDS = [2, 144, 4096, 2**31 + 1, 3 * 2**30, 2**32 - 1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(bit_generator=st.sampled_from([np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox]),
+           seed=st.integers(0, 2**64 - 1), lead=st.integers(0, 2), block=st.sampled_from([1, 3, 64]),
+           draws=st.lists(st.sampled_from(BOUNDS) | st.none(), max_size=600))
+    def test_reads_as_the_generator_draws(self, bit_generator, seed, lead, block, draws):
+        got_rng, want_rng = np.random.Generator(bit_generator(seed)), np.random.Generator(bit_generator(seed))
+        # one lead draw leaves the high half of its word kept, two leave it used but still in the state
+        for _ in range(lead):
+            assert got_rng.integers(7) == want_rng.integers(7)
+        with mock.patch.object(rationalize_module, "_BLOCK", block):
+            words = rationalize_module._RawWords(got_rng)
+            got = [words.random() if m is None else words.integers(m) for m in draws]
+            words.sync()
+        # None draws a double, a bound an integer below it
+        assert got == [want_rng.random() if m is None else int(want_rng.integers(m)) for m in draws]
+        assert comparable_state(got_rng.bit_generator.state) == comparable_state(want_rng.bit_generator.state)
+        assert got_rng.integers(2**40, size=3).tolist() == want_rng.integers(2**40, size=3).tolist()
+        assert got_rng.random() == want_rng.random()
+
 
 def oracle_sample(r, rng, merge_prob):
     """sample_extension's ranks, drawn on the walk that counts every arc of the condensation."""
@@ -714,6 +766,25 @@ class TestAdversarialFar:
         seed, budget = data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 240) | st.just(51))
         far, exhausted = adversarial_far_extension(r, target, seed, budget)
         assert (far.rank.tolist(), exhausted) == reference_far_search(r, target, seed, budget)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -1), ("seed", 1.5), ("seed", True), ("budget", -3), ("budget", 2.5), ("budget", "400"),
+    ])
+    def test_seed_and_budget_must_be_whole_and_at_least_0(self, line5, field, value):
+        e, c = dataset(line5, [(0, 3, (3,))], "strong")
+        r = revealed_relation(e, c, "strong")
+        target = extend_preference(r, RationalizationPolicy())
+        with pytest.raises(ConfigurationError, match=field):
+            adversarial_far_extension(r, target, **{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            RationalizationPolicy(tag="adversarial_far", target=target, **{field: value})
+
+    def test_budget_0_makes_one_draw(self, line5):
+        e, c = dataset(line5, [(0, 3, (3,))], "strong")
+        r = revealed_relation(e, c, "strong")
+        target = extend_preference(r, RationalizationPolicy())
+        far, exhausted = adversarial_far_extension(r, target, seed=3, budget=0)
+        assert (far.rank.tolist(), exhausted) == reference_far_search(r, target, 3, 0)
 
     def test_policy_requires_target(self):
         with pytest.raises(ConfigurationError):

@@ -222,6 +222,14 @@ def test_point_space_keeps_its_distance_matrix():
     assert np.array_equal(distance, broadcast_compare(space.points)[0])
 
 
+@pytest.mark.parametrize("shape", [(3,), (3, 1)], ids=["one_coordinate", "point_rows"])
+def test_point_space_leaves_the_callers_points_writeable(shape):
+    points = np.array([0.0, 1.0, 2.0]).reshape(shape)
+    space = from_points(points)
+    points[0] = 5.0
+    assert space.points[:, 0].tolist() == [0.0, 1.0, 2.0] and not space.points.flags.writeable
+
+
 class TestGrid:
     def test_row_major_points(self):
         g = make_grid_euclidean(2, 3, (0.0, 1.0))
