@@ -124,8 +124,9 @@ def _defaults(fn) -> dict:
 
 
 # The run-config schema. A section's row: every key it accepts with its default, the least value of each integer
-# key, and the keys an absent section is hashed with (`config_hash`), None for the diameter: it alone may be absent
-# or null, and is then not run. An absent diameter.policy_class is the class of policy.monotone's edges.
+# key, and the keys an absent or empty section is hashed with (`config_hash`), None for the diameter: it alone may be
+# absent or null, and is then not run, while an empty one runs. An absent diameter.policy_class is the class of
+# policy.monotone's edges.
 _SECTIONS = {
     "schedule": ({"order": _defaults(enumerate_pairs)["schedule"], "seed": 0}, {"seed": 0}, ("order", "seed")),
     "policy": (dict(_defaults(RationalizationPolicy), monotone=_defaults(revealed_relation)["monotone"],
@@ -204,7 +205,9 @@ class ExperimentConfig:
         sections = {"generator": _generator_spec(doc["generator"])}
         written = {"generator": dict(doc["generator"])}
         for key, (defaults, ints, hashed) in _SECTIONS.items():
-            section = doc.get(key, None if hashed is None else {name: defaults[name] for name in hashed})
+            section = doc.get(key, None if hashed is None else {})
+            if hashed is not None and isinstance(section, dict) and not section:  # runs, so hashes, as a left-out one
+                section = {name: defaults[name] for name in hashed}
             sections[key] = None if section is None and hashed is None else _filled(key, section, defaults, ints)
             written[key] = None if section is None else dict(section)
         policy, diameter, subset = sections["policy"], sections["diameter"], sections["subset"]
@@ -243,14 +246,15 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(doc)
 
     def to_dict(self) -> dict:
-        """The config as hashed: the generator and each section as written, an absent section at its absent value."""
+        """The config as hashed: the generator and each section as written, an absent or empty section at its
+        absent value."""
         doc = asdict(self)
         doc.update(doc.pop("written"))
         return {name: value for name, value in doc.items() if value is not None}
 
     def config_hash(self) -> str:
-        """Hash of `to_dict`. It hashes the config as written, so `"schedule": {}` and an absent schedule, which
-        run alike, hash differently."""
+        """Hash of `to_dict`. It hashes the config as written, save that `"schedule": {}` or `"policy": {}` hashes
+        as the left-out section it runs as."""
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
@@ -331,7 +335,7 @@ def run_convergence(config: ExperimentConfig) -> ConvergenceReport:
     needs = {policy_monotone}
     dcfg = config.diameter
     if dcfg is not None:
-        dmonotone = _diameter_monotone(dcfg["policy_class"], dcfg["num_samples"], dcfg["seed"])
+        dmonotone = _diameter_monotone(dcfg["policy_class"])
         needs.add(dmonotone)
     if needs & {"weak", "strict"} and not is_weakly_monotone(gen):
         raise ConfigurationError("generator is not weakly monotone but the policy or diameter requires it")

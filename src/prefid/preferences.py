@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, partial, reduce
 
 import numpy as np
 
@@ -152,7 +152,7 @@ def is_locally_strict(p: Preference, radius: float):
     Raises DomainError for a radius that is not a finite number at least 0.
     """
     radius = _radius(radius)
-    (hi,), (lo,) = _envelopes(p.space, radius, p.rank[None, :])
+    hi, lo = _envelopes(p.space, radius, p.rank)
     bad = p.graph & (hi[:, None] <= lo[None, :])
     ii, jj = np.nonzero(bad)
     violations = [(int(i), int(j)) for i, j in zip(ii, jj)]
@@ -181,20 +181,16 @@ def _dilate(space: OrderedSpace, radius: float, graphs: np.ndarray) -> np.ndarra
     return (near @ graphs.astype(np.float32) @ near) > 0.5
 
 
-def _envelopes(space: OrderedSpace, radius: float, ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Max and min (hi, lo) of each (K, n) rank row over every point's closed `radius`-ball.
+def _envelopes(space: OrderedSpace, radius: float, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Max and min (hi, lo) of an (n,) rank row over every point's closed `radius`-ball.
 
     A preference's radius-dilation is exactly {(i, j) : hi[i] >= lo[j]}, and
     that of its strict part {(i, j) : hi[i] > lo[j]}. Balls are `_dilate`'s.
     """
     near = space.distance_matrix <= radius + _EPS
-    hi, lo = np.empty_like(ranks), np.empty_like(ranks)
-    for k, row in enumerate(ranks):
-        order = np.argsort(row, kind="stable")
-        ball = near[:, order]  # each ball's members, by ascending rank
-        lo[k] = row[order[ball.argmax(axis=1)]]
-        hi[k] = row[order[-1 - ball[:, ::-1].argmax(axis=1)]]
-    return hi, lo
+    order = np.argsort(rank, kind="stable")
+    ball = near[:, order]  # each ball's members, by ascending rank
+    return rank[order[-1 - ball[:, ::-1].argmax(axis=1)]], rank[order[ball.argmax(axis=1)]]
 
 
 def _within(hi: np.ndarray, lo: np.ndarray, rank: np.ndarray) -> bool:
@@ -204,17 +200,23 @@ def _within(hi: np.ndarray, lo: np.ndarray, rank: np.ndarray) -> bool:
     return bool((hi >= np.maximum.accumulate(top)[rank]).all())
 
 
-def _least_radius(space: OrderedSpace, covered) -> float:
-    """The least value in `space.distance_values` where `covered(radius)` holds, by bisection; the last always does."""
+def _least_radius(space: OrderedSpace, covered, start: int = 0) -> int:
+    """The least index i >= start into `space.distance_values` at which `covered(distance_values[i])` holds.
+
+    `covered` must be monotone in the radius, as coverage by a dilation is. A
+    bisection finds the index, since the last value, the diameter of X, always
+    covers. A caller that knows every radius below index `start` fails passes
+    it, and the search tests only the values from there on.
+    """
     radii = space.distance_values
-    lo, hi = 0, len(radii) - 1
+    lo, hi = start, len(radii) - 1
     while lo < hi:
         mid = (lo + hi) // 2
         if covered(radii[mid]):
             hi = mid
         else:
             lo = mid + 1
-    return float(radii[lo])
+    return lo
 
 
 _GRAPH_CHUNK = 2048  # graphs per `_dilate` product in `_graph_diameter`: bounds its working memory
@@ -226,48 +228,72 @@ def _graph_diameter(space: OrderedSpace, stack: np.ndarray, as_graphs: bool = Fa
     Two graphs are within r of each other when each lies in the other's
     r-dilation, so the largest pairwise distance is the least radius at
     which every graph's dilation covers the union of the stack. Distances
-    take only the values in `space.distance_values`, so a binary search over
-    them finds it exactly: the diameter of X always covers. Rank rows test
-    coverage on their envelopes in O(K n^2), one Python pass per row; rank
-    rows `as_graphs` are tested as a boolean stack is, by `_dilate`'s O(n^3)
-    product. The exact diameter passes its rows so: it measures up to
-    hundreds of thousands of candidates, on at most 8 points. Graphs are
-    built and dilated `_GRAPH_CHUNK` at a time, so the working memory does
-    not grow with K.
+    take only the values in `space.distance_values`. An item's coverage only
+    grows with the radius, so that least radius is the largest of the items'
+    own least radii, and one fold over the items finds it: the first item
+    bisects (`_least_radius`), and each later one is tested once, at the
+    running best, and bisects above it only if it fails there. Rank rows
+    test coverage on their envelopes in O(n^2) a test; rank rows
+    `as_graphs` are tested as a boolean stack is, by `_dilate`'s O(n^3)
+    product, a chunk of `_GRAPH_CHUNK` graphs per item. The exact diameter
+    passes its rows so: it measures up to hundreds of thousands of
+    candidates, on at most 8 points. Graphs are built and dilated a chunk at
+    a time, so the working memory does not grow with K.
     """
     if stack.ndim == 3 or as_graphs:
         build = (lambda rows: rows[:, :, None] >= rows[:, None, :]) if stack.ndim == 2 else (lambda chunk: chunk)
-        chunks = [stack[start:start + _GRAPH_CHUNK] for start in range(0, len(stack), _GRAPH_CHUNK)]
-        union = reduce(np.logical_or, (build(chunk).any(axis=0) for chunk in chunks))
-        return _least_radius(space, lambda radius: not any(
-            (union & ~_dilate(space, radius, build(chunk))).any() for chunk in chunks))
-    union = reduce(np.logical_or, (row[:, None] >= row[None, :] for row in stack))
-    return _least_radius(space, lambda radius: not any(
-        (union & (hi[:, None] < lo[None, :])).any() for hi, lo in zip(*_envelopes(space, radius, stack))))
+        items = [stack[start:start + _GRAPH_CHUNK] for start in range(0, len(stack), _GRAPH_CHUNK)]
+        union = reduce(np.logical_or, (build(chunk).any(axis=0) for chunk in items))
+
+        def covers(chunk, radius):
+            return not (union & ~_dilate(space, radius, build(chunk))).any()
+    else:
+        items = stack
+        union = reduce(np.logical_or, (row[:, None] >= row[None, :] for row in stack))
+
+        def covers(row, radius):
+            hi, lo = _envelopes(space, radius, row)
+            return not (union & (hi[:, None] < lo[None, :])).any()
+
+    radii = space.distance_values
+    best = _least_radius(space, partial(covers, items[0]))
+    for item in items[1:]:
+        if not covers(item, radii[best]):
+            best = _least_radius(space, partial(covers, item), best + 1)
+    return float(radii[best])
 
 
 def _distance_to(q: Preference):
-    """The map p -> closed_convergence_distance(p, q) over Preferences, computing q's envelopes once per radius.
+    """The map (p, floor=None) -> closed_convergence_distance(p, q) over Preferences, computing q's envelopes
+    once per radius.
 
     p lies in q's radius-dilation iff, for every i, hi[i] >= max{lo[j] :
     p.rank[j] <= p.rank[i]} with q's `_envelopes` (`_within`), and the other
-    way round; the distance is the least radius at which both hold.
+    way round; the distance is the least radius at which both hold. A search
+    that only needs distances above a radius `floor` at least 0 passes it:
+    if both hold at `floor`, the map returns `floor`, meaning "at most
+    floor", after one test; otherwise it returns the exact distance, bisected
+    above `floor`. With no floor it always returns the exact distance.
     """
     space = q.space
-    target = cache(lambda radius: _envelopes(space, radius, q.rank[None, :]))
+    radii = space.distance_values
+    target = cache(lambda radius: _envelopes(space, radius, q.rank))
 
-    def distance(p: Preference) -> float:
+    def distance(p: Preference, floor: float | None = None) -> float:
         if not same_space(p.space, space):
             raise DomainError("relations live on different spaces")
 
         def covered(radius):
-            (hi,), (lo,) = target(radius)
-            if not _within(hi, lo, p.rank):
-                return False
-            (hi,), (lo,) = _envelopes(space, radius, p.rank[None, :])
-            return _within(hi, lo, q.rank)
+            return _within(*target(radius), p.rank) and _within(*_envelopes(space, radius, p.rank), q.rank)
 
-        return 0.0 if np.array_equal(p.rank, q.rank) else _least_radius(space, covered)
+        if np.array_equal(p.rank, q.rank):
+            return 0.0
+        start = 0
+        if floor is not None:
+            if covered(floor):
+                return float(floor)
+            start = int(np.searchsorted(radii, floor, side="right"))  # every radius up to floor fails
+        return float(radii[_least_radius(space, covered, start)])
 
     return distance
 

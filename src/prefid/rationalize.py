@@ -521,8 +521,12 @@ def adversarial_far_extension(
     the flag is True when the budget ran out before either stop; a budget
     of 0 makes one draw. The target side of every distance (its rank
     envelopes at each radius) is computed once per search, not once per
-    draw. Raises ConfigurationError unless seed and budget are whole
-    numbers of at least 0, PreconditionError for inconsistent data.
+    draw. A draw is kept only when it is farther than the best so far, so
+    each later draw is measured with the best distance as its floor
+    (`_distance_to`): a draw within it costs one radius test, and only a
+    farther one is bisected, above it. Raises ConfigurationError unless
+    seed and budget are whole numbers of at least 0, PreconditionError for
+    inconsistent data.
     """
     seed, budget = _int_field("seed", seed, minimum=0), _int_field("budget", budget, minimum=0)
     _require_consistent(r)
@@ -534,7 +538,7 @@ def adversarial_far_extension(
     for _ in range(max(1, budget)):
         merge_prob = _FAR_MERGE_PROBS[words.integers(len(_FAR_MERGE_PROBS))]
         cand = Preference(r.space, _sample_ranks(cond, words, merge_prob))
-        d = distance(cand)
+        d = distance(cand) if best is None else distance(cand, best_d)  # only a farther draw needs its exact distance
         if d > best_d:
             best, best_d, stale = cand, d, 0
         else:
@@ -936,21 +940,19 @@ def diameter_estimate(
     Otherwise it is a sampled lower bound over the two extremal height
     assignments and seeded random extensions, num_samples draws in all; a
     num_samples below 2 still draws the two extremal extensions.
-    Raises ConfigurationError for a negative num_samples or seed or an
-    unknown policy class, and PreconditionError for inconsistent data.
+    Raises ConfigurationError for an unknown policy class or unless
+    num_samples and seed are whole numbers of at least 0, and
+    PreconditionError for inconsistent data.
     """
-    r = revealed_relation(e, c, c.mode, monotone=_diameter_monotone(policy_class, num_samples, seed))
-    return _relation_diameter(r, num_samples, seed)
+    monotone = _diameter_monotone(policy_class)
+    num_samples, seed = _int_field("num_samples", num_samples, minimum=0), _int_field("seed", seed, minimum=0)
+    return _relation_diameter(revealed_relation(e, c, c.mode, monotone=monotone), num_samples, seed)
 
 
-def _diameter_monotone(policy_class: str, num_samples: int, seed: int) -> str:
-    """The monotone edges a diameter policy class injects; ConfigurationError for a bad class, sample count or seed."""
+def _diameter_monotone(policy_class: str) -> str:
+    """The monotone edges a diameter policy class injects; ConfigurationError for an unknown class."""
     if not isinstance(policy_class, str) or policy_class not in _POLICY_CLASSES:
         raise ConfigurationError(f"unknown policy class {policy_class!r}")
-    if num_samples < 0:
-        raise ConfigurationError(f"num_samples must be at least 0, got {num_samples}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be at least 0, got {seed}")
     return _POLICY_CLASSES[policy_class]
 
 

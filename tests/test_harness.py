@@ -151,9 +151,11 @@ class TestExperimentConfig:
         pytest.param({"schedule": {"seed": 3.0}, "policy": {"budget": 40.0, "seed": 1.0}, "subset": {"stride": 2.0},
                       "diameter": {"num_samples": 10.0, "seed": 0.0}, "k_grid": [1.0, 4.0]}, "ca4ce2d11b6615e8",
                      id="whole_floats"),
-        # a section hashes as written: these run as the config with no sections, but hash apart from it
-        pytest.param({"schedule": {}}, "60ddf47275a31a96", id="schedule_empty"),
-        pytest.param({"policy": {}}, "596f98f210d44c31", id="policy_empty"),
+        # an empty section runs as a left-out one, so hashes as it; an empty diameter runs a diameter
+        pytest.param({"schedule": {}}, "657aa41b2ef0a28a", id="schedule_empty"),
+        pytest.param({"policy": {}}, "657aa41b2ef0a28a", id="policy_empty"),
+        pytest.param({"subset": {}}, "657aa41b2ef0a28a", id="subset_empty"),
+        pytest.param({"diameter": {}}, "480541678a951d01", id="diameter_empty"),
         pytest.param({"policy": {"tag": "canonical", "monotone": "none", "seed": 0, "budget": 400}},
                      "13aacacfeeb67d43", id="policy_spelled_out"),
     ])

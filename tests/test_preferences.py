@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,8 +19,9 @@ from prefid import (
     make_lottery_simplex,
     total_indifference,
 )
+from prefid import preferences as preferences_module
 from prefid.errors import DomainError
-from prefid.preferences import _distance_to, from_utility
+from prefid.preferences import _distance_to, _graph_diameter, from_utility
 
 from conftest import brute_dilation, brute_graph_distance
 
@@ -38,6 +41,14 @@ ENVELOPE_SPACES = {
     "random12": from_points(np.random.default_rng(2).random((12, 2))),
     "grid4x4": make_grid_euclidean(2, 4, (0.0, 1.0)),
     "lottery3x4": make_lottery_simplex(3, 4),
+}
+
+# the spaces of the diameter fold's checks: at most 9 points, so the loop oracle can measure every pair of a stack
+FOLD_SPACES = {
+    "line7": from_points(np.array([0.0, 0.1, 0.3, 0.35, 0.7, 0.8, 1.0]).reshape(-1, 1)),
+    "grid2x2": make_grid_euclidean(2, 2, (0.0, 1.0)),
+    "grid3x3": make_grid_euclidean(2, 3, (0.0, 1.0)),
+    "lottery3x2": make_lottery_simplex(3, 2),
 }
 
 
@@ -172,6 +183,50 @@ def test_distance_to_a_fixed_preference_matches_loop_oracle(name, data):
     for rc in data.draw(st.lists(ranks, max_size=3)):
         pc = pref(space, rc)
         assert to_b(pc) == pytest.approx(brute_graph_distance(space, pc, pb), abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(ENVELOPE_SPACES)), st.data())
+def test_distance_above_a_floor_is_exact(name, data):
+    # a floor at every distance value: above the true distance the map may answer "at most floor", below it not
+    space = ENVELOPE_SPACES[name]
+    n = space.num_points
+    ranks = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    pa, pb = pref(space, data.draw(ranks)), pref(space, data.draw(ranks))
+    want = brute_graph_distance(space, pa, pb)
+    to_b = _distance_to(pb)
+    exact = to_b(pa)
+    assert exact == pytest.approx(want, abs=1e-12)
+    for floor in space.distance_values.tolist():
+        got = to_b(pa, floor)
+        if exact > floor:
+            assert got == exact
+        else:
+            assert got <= floor
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(FOLD_SPACES)), st.data())
+def test_graph_diameter_is_the_largest_pairwise_distance(name, data):
+    # the fold over rank rows, and over chunks of 1, 2 and 3 graphs, against every pair measured by the loop oracle;
+    # rows are a base row with a few points moved, so the items' own least radii spread over the distance values
+    space = FOLD_SPACES[name]
+    n = space.num_points
+    base = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    moves = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3)), max_size=3)
+    rows = [np.array(base) for _ in range(data.draw(st.integers(1, 12)))]
+    for row in rows:
+        for point, value in data.draw(moves):
+            row[point] = value
+    prefs = [pref(space, row) for row in rows]
+    want = max((brute_graph_distance(space, a, b) for a, b in itertools.combinations(prefs, 2)), default=0.0)
+    stack = np.stack([p.rank for p in prefs])
+    value = _graph_diameter(space, stack)
+    assert value == pytest.approx(want, abs=1e-12)
+    for chunk in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(preferences_module, "_GRAPH_CHUNK", chunk)
+            assert _graph_diameter(space, stack, as_graphs=True) == value
 
 
 def test_distance_of_preferences_builds_no_graph(grid3):

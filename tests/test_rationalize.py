@@ -1148,12 +1148,18 @@ class TestDiameter:
         with pytest.raises(ConfigurationError):
             diameter_estimate(e, c, "convex")
 
-    @pytest.mark.parametrize("policy_class", ["all", "weak_monotone", "strict_monotone"])
-    def test_negative_seed_rejected(self, line5, policy_class):
-        # the exact branch draws nothing, but a seed is checked for every class
+    @pytest.mark.parametrize("policy_class, field, value", [
+        pytest.param(cls, field, value, id=cls if (field, value) == ("seed", -1) else f"{cls}-{field}={value!r}")
+        for field, value in [("seed", -1), ("seed", 1.5), ("seed", True),
+                             ("num_samples", -1), ("num_samples", 2.5), ("num_samples", "3")]
+        for cls in ("all", "weak_monotone", "strict_monotone")
+    ])
+    def test_negative_seed_rejected(self, line5, policy_class, field, value):
+        # the exact branch draws nothing, but a seed and a sample count are checked for every class: each must be
+        # a whole number of at least 0
         e, c = dataset(line5, [(0, 1, (1,))], "strong")
-        with pytest.raises(ConfigurationError):
-            diameter_estimate(e, c, policy_class, seed=-1)
+        with pytest.raises(ConfigurationError, match=field):
+            diameter_estimate(e, c, policy_class, **{field: value})
 
     def test_float_conversion(self, line5):
         e, c = dataset(line5, [(0, 1, (0,))], "strong")
