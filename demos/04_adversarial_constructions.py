@@ -4,7 +4,7 @@ Adversarial rationalizations
 
 Finite data never pins the preference down. Two constructions make that
 vivid: one stays as close to total indifference as the data allows, the
-other runs as far from a target as a random search can get.
+other runs as far from a target as any rationalization can.
 """
 
 from prefid import (
@@ -42,12 +42,12 @@ for k in (1, 2, 4, 8, 16):
     d = closed_convergence_distance(p, flat)
     print(f"{k:>4} {d:>9.4f} {1 / (2 * k) + 2 * h:>9.4f}")
 
-# the far search pushes away from a target instead; with little data it
-# reaches a large distance from the generator
+# the far extension pushes away from a target instead: it is the
+# rationalization farthest from the generator, which little data leaves far
 e_k, c_k = restrict(e, c, 4)
 r = revealed_relation(e_k, c_k, "strong")
-rng_best, exhausted = adversarial_far_extension(r, gen, seed=1, budget=200)
+far, exhausted = adversarial_far_extension(r, gen, seed=1, budget=200)
 print()
 print(f"far search after 4 observations: delta_c to generator = "
-      f"{closed_convergence_distance(rng_best, gen):.3f} (budget exhausted: {exhausted})")
-assert rationalizes(rng_best, e_k, c_k)
+      f"{closed_convergence_distance(far, gen):.3f} (budget exhausted: {exhausted})")
+assert rationalizes(far, e_k, c_k)

@@ -264,22 +264,16 @@ def _graph_diameter(space: OrderedSpace, stack: np.ndarray, as_graphs: bool = Fa
 
 
 def _distance_to(q: Preference):
-    """The map (p, floor=None) -> closed_convergence_distance(p, q) over Preferences, computing q's envelopes
-    once per radius.
+    """The map p -> closed_convergence_distance(p, q) over Preferences, computing q's envelopes once per radius.
 
     p lies in q's radius-dilation iff, for every i, hi[i] >= max{lo[j] :
     p.rank[j] <= p.rank[i]} with q's `_envelopes` (`_within`), and the other
-    way round; the distance is the least radius at which both hold. A search
-    that only needs distances above a radius `floor` at least 0 passes it:
-    if both hold at `floor`, the map returns `floor`, meaning "at most
-    floor", after one test; otherwise it returns the exact distance, bisected
-    above `floor`. With no floor it always returns the exact distance.
+    way round; the distance is the least radius at which both hold.
     """
     space = q.space
-    radii = space.distance_values
     target = cache(lambda radius: _envelopes(space, radius, q.rank))
 
-    def distance(p: Preference, floor: float | None = None) -> float:
+    def distance(p: Preference) -> float:
         if not same_space(p.space, space):
             raise DomainError("relations live on different spaces")
 
@@ -288,12 +282,7 @@ def _distance_to(q: Preference):
 
         if np.array_equal(p.rank, q.rank):
             return 0.0
-        start = 0
-        if floor is not None:
-            if covered(floor):
-                return float(floor)
-            start = int(np.searchsorted(radii, floor, side="right"))  # every radius up to floor fails
-        return float(radii[_least_radius(space, covered, start)])
+        return float(space.distance_values[_least_radius(space, covered)])
 
     return distance
 

@@ -22,8 +22,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError, ConfigurationError, DomainError, PreconditionError, ResolutionError
 from .experiments import STRONG, WEAK, ChoiceSequence, ExperimentSequence
-from .preferences import Preference, _distance_to, _graph_diameter, from_utility
-from .spaces import OrderedSpace, _frozen, _int_field, _owned, same_space
+from .preferences import Preference, _dilate, _envelopes, _graph_diameter, _least_radius, from_utility
+from .spaces import _EPS, OrderedSpace, _frozen, _int_field, _owned, same_space
 
 __all__ = [
     "RevealedEdge",
@@ -159,9 +159,13 @@ class RationalizationPolicy:
 
     tag: canonical | adversarial_indifference | adversarial_far | eu_class.
     The revealed relation, not the policy, carries the monotone class:
-    see `revealed_relation`'s `monotone`. seed and budget are whole numbers
-    of at least 0 (ConfigurationError otherwise); see
-    `adversarial_far_extension`.
+    see `revealed_relation`'s `monotone`. adversarial_far takes the
+    rationalization farthest from `target`, which must be a Preference
+    (ConfigurationError otherwise). Its distance is exact: one extension,
+    built around one pair, attains the bound that every rationalization
+    obeys (see `adversarial_far_extension`). seed and budget are whole
+    numbers of at least 0 (ConfigurationError otherwise); configs that
+    name them hash them, and nothing reads them.
     """
 
     tag: str = "canonical"
@@ -172,8 +176,8 @@ class RationalizationPolicy:
     def __post_init__(self):
         if self.tag not in ("canonical", "adversarial_indifference", "adversarial_far", "eu_class"):
             raise ConfigurationError(f"unknown policy tag {self.tag!r}")
-        if self.tag == "adversarial_far" and self.target is None:
-            raise ConfigurationError("adversarial_far needs a target preference")
+        if self.tag == "adversarial_far" and not isinstance(self.target, Preference):
+            raise ConfigurationError(f"adversarial_far needs a target Preference, got {type(self.target).__name__}")
         object.__setattr__(self, "seed", _int_field("seed", self.seed, minimum=0))
         object.__setattr__(self, "budget", _int_field("budget", self.budget, minimum=0))
 
@@ -220,6 +224,16 @@ def revealed_relation(e: ExperimentSequence, c: ChoiceSequence, mode: str, monot
 
 @dataclass(frozen=True)
 class _Condensation:
+    """The strong components of a revealed relation and the arcs between them.
+
+    The closures of the relation are read from it: `closure` is L, the pairs joined by a path of edges (every
+    point reaches itself), and `strict_closure` is S, the pairs joined by a path that crosses a strict edge. On
+    consistent data a total preorder G rationalizes the relation iff L <= G <= U, with U the complement of S's
+    transpose: G must hold every pair of L and must not hold (b, a) for a pair (a, b) of S. These are the finite
+    forms of Richter's closure (M. Richter, "Revealed Preference Theory", Econometrica 1966) and of Varian's
+    revealed-preferred sets (H. Varian, "The Nonparametric Approach to Demand Analysis", Econometrica 1982).
+    """
+
     labels: np.ndarray            # point index -> component id
     num_comps: int
     arc_u: np.ndarray             # arcs between distinct components, unique and sorted by (arc_v, arc_u):
@@ -227,28 +241,65 @@ class _Condensation:
     arc_strict: np.ndarray        # strictly when some strict edge gives the arc
     consistent: bool              # no strict edge joins two points of one component
 
-    @cached_property
-    def covering(self) -> np.ndarray:
-        """Mask of the covering arcs, the ones no longer path implies: the transitive reduction.
+    def _by_tail(self) -> tuple[np.ndarray, list[int]]:
+        # the arcs ordered by tail, and the bounds of each component's run in that order
+        order = np.argsort(self.arc_u, kind="stable")
+        return order, np.searchsorted(self.arc_u[order], np.arange(self.num_comps + 1)).tolist()
 
-        Walks the components by ascending id, keeping each one's strict down-set as a boolean row; an arc
-        (u, v) covers unless v lies below another component that u is at least. SciPy closes the strong
-        components in reverse topological order (Tarjan 1972, in Pearce's variant), so every arc runs from a
-        higher id to a lower one and a component's heads are walked before it.
+    def _cover_walk(self) -> tuple[np.ndarray, np.ndarray]:
+        """(`down`, `covering`), from one walk of the components by ascending id.
+
+        Each component's row of `down` is its heads' rows with the heads themselves; an arc (u, v) covers unless
+        v lies in the row of another head of u. SciPy closes the strong components in reverse topological order
+        (Tarjan 1972, in Pearce's variant), so every arc runs from a higher id to a lower one and a component's
+        heads are walked before it. Each reader caches only its own half: the sampler's condensations never hold
+        the reach, and the far extension's never hold the mask.
         """
-        num = self.num_comps
-        by_tail = np.argsort(self.arc_u, kind="stable")
+        by_tail, bounds = self._by_tail()
         heads = self.arc_v[by_tail]
-        bounds = np.searchsorted(self.arc_u[by_tail], np.arange(num + 1)).tolist()
-        down = np.zeros((num, num), dtype=bool)
+        down = np.zeros((self.num_comps, self.num_comps), dtype=bool)
         keep = np.empty(len(heads), dtype=bool)
-        for comp in range(num):
+        for comp in range(self.num_comps):
             lo, hi = bounds[comp], bounds[comp + 1]
             below = down[heads[lo:hi]].any(axis=0)
             keep[lo:hi] = ~below[heads[lo:hi]]
             below[heads[lo:hi]] = True
             down[comp] = below
-        return keep[np.argsort(by_tail)]
+        return down, keep[np.argsort(by_tail)]
+
+    @cached_property
+    def down(self) -> np.ndarray:
+        """(num_comps, num_comps) bool component reach: [c, d] iff a path of arcs runs from c to another d."""
+        return self._cover_walk()[0]
+
+    @cached_property
+    def covering(self) -> np.ndarray:
+        """Mask of the covering arcs, the ones no longer path implies: the transitive reduction."""
+        return self._cover_walk()[1]
+
+    @cached_property
+    def closure(self) -> np.ndarray:
+        """L over the points, (n, n) bool: [x, y] iff a path of edges runs from x to y; x reaches itself."""
+        reach = self.down | np.eye(self.num_comps, dtype=bool)
+        return reach[np.ix_(self.labels, self.labels)]
+
+    @cached_property
+    def strict_closure(self) -> np.ndarray:
+        """S over the points, (n, n) bool: [x, y] iff a path of edges from x to y crosses a strict arc.
+
+        The strict reach of the components is `down`'s walk again: a row is its heads' rows, and the reach of each
+        strict head with the head itself.
+        """
+        by_tail, bounds = self._by_tail()
+        heads, strict = self.arc_v[by_tail], self.arc_strict[by_tail]
+        down, reach = self.down, np.zeros((self.num_comps, self.num_comps), dtype=bool)
+        for comp in range(self.num_comps):
+            lo, hi = bounds[comp], bounds[comp + 1]
+            over = heads[lo:hi][strict[lo:hi]]
+            below = reach[heads[lo:hi]].any(axis=0) | down[over].any(axis=0)
+            below[over] = True
+            reach[comp] = below
+        return reach[np.ix_(self.labels, self.labels)]
 
     @cached_property
     def above(self) -> list[list[int]]:
@@ -501,57 +552,74 @@ def _sample_ranks(cond: _Condensation, words: _RawWords, merge_prob: float) -> n
     return np.array(levels, dtype=np.int64)[cond.labels]
 
 
-# the far search's merge probabilities, one drawn per trial as `rng.choice` of this list would
-_FAR_MERGE_PROBS = (0.0, 0.15, 0.4, 0.7, 0.9)
-
-
 def adversarial_far_extension(
     r: RevealedRelation,
     target: Preference,
     seed: int = 0,
     budget: int = RationalizationPolicy.budget,
 ) -> tuple[Preference, bool]:
-    """Search the rationalization set for a preference far from `target`.
+    """The rationalization of r farthest from `target`, at the exact largest distance; with the flag False.
 
-    Seeded random draws of sample_extension, each with a merge probability
-    drawn uniformly from (0, 0.15, 0.4, 0.7, 0.9), keeping the draw farthest
-    from the target. The search stops once the best distance reaches the
-    diameter of the space, or after max(50, budget // 4) draws in a row
-    without improvement. Returns (best preference found, budget_exhausted);
-    the flag is True when the budget ran out before either stop; a budget
-    of 0 makes one draw. The target side of every distance (its rank
-    envelopes at each radius) is computed once per search, not once per
-    draw. A draw is kept only when it is farther than the best so far, so
-    each later draw is measured with the best distance as its floor
-    (`_distance_to`): a draw within it costs one radius test, and only a
-    farther one is bisected, above it. Raises ConfigurationError unless
-    seed and budget are whole numbers of at least 0, PreconditionError for
-    inconsistent data.
+    With L, S and U of r's `_Condensation`, every rationalization G has L <= G <= U, so its distance to the
+    target q is at most max(h(U -> q), h(q -> L)), h the directed Hausdorff distance. One extension, built around
+    one pair, attains it:
+    - when h(U -> q) is the larger, take the least pair (a, b) of U farthest from q; (b, a) is not in S, so the
+      weak edge a >= b closes no cycle through a strict edge, and the extension holding it is within h(U -> q)
+      of q both ways and no closer;
+    - otherwise take the least pair (a, b) of q farthest from L, at h(q -> L) = t, and add d > c for every c
+      nearer than t to a and every d nearer than t to b. L holds no pair (c, d) of these, so the new strict
+      edges close no cycle, and the extension leaves every pair near (a, b) out, so (a, b) sits t from it.
+    Each radius is a `_least_radius` search, h(U -> q) on q's `_envelopes` and h(q -> L) on `_dilate`; the
+    result is `_min_height` of r with the added edges, or of r alone when q is its one rationalization. Nothing
+    is drawn, and the least pair makes the result deterministic.
+
+    seed and budget are accepted, checked and hashed in configs, but nothing reads them, and budget_exhausted
+    is always False. Raises ConfigurationError unless seed and budget are whole numbers of at least 0,
+    DomainError for a target that is not a Preference on r's space, and PreconditionError for inconsistent data.
     """
-    seed, budget = _int_field("seed", seed, minimum=0), _int_field("budget", budget, minimum=0)
+    _int_field("seed", seed, minimum=0)
+    _int_field("budget", budget, minimum=0)
+    if not isinstance(target, Preference):
+        raise DomainError(f"the far target must be a Preference, got {type(target).__name__}")
+    space = r.space
+    if not same_space(target.space, space):
+        raise DomainError("the target and the data live on different spaces")
     _require_consistent(r)
-    distance = _distance_to(target)
-    cond = r.condensation
-    # the seed's own generator, read by one reader for the whole search and by no one after it: never synced
-    words = _RawWords(np.random.default_rng(seed))
-    best, best_d, stale = None, -1.0, 0
-    for _ in range(max(1, budget)):
-        merge_prob = _FAR_MERGE_PROBS[words.integers(len(_FAR_MERGE_PROBS))]
-        cand = Preference(r.space, _sample_ranks(cond, words, merge_prob))
-        d = distance(cand) if best is None else distance(cand, best_d)  # only a farther draw needs its exact distance
-        if d > best_d:
-            best, best_d, stale = cand, d, 0
-        else:
-            stale += 1
-        if best_d >= float(r.space.distance_values[-1]) - _ZERO_TOL:
-            return best, False  # the diameter of the space: no draw can be farther
-        if stale >= max(50, budget // 4):
-            return best, False  # no improvement for long enough
-    return best, True
+    cond, radii = r.condensation, space.distance_values
+    upper = ~cond.strict_closure.T
+
+    def off_target(radius):  # the pairs of U outside q's radius-dilation
+        hi, lo = _envelopes(space, radius, target.rank)
+        return upper & (hi[:, None] < lo[None, :])
+
+    def off_closure(radius):  # the pairs of q outside L's radius-dilation
+        return target.graph & ~_dilate(space, radius, cond.closure)
+
+    to_target = _least_radius(space, lambda radius: not off_target(radius).any())
+    to_closure = _least_radius(space, lambda radius: not off_closure(radius).any())
+    if to_target == to_closure == 0:
+        return Preference(space, _min_height(cond)), False
+    if to_target >= to_closure:
+        a, b = np.argwhere(off_target(radii[to_target - 1]))[0]
+        x, y, strict = np.array([a]), np.array([b]), False
+    else:
+        a, b = np.argwhere(off_closure(radii[to_closure - 1]))[0]
+        near = space.distance_matrix <= radii[to_closure - 1] + _EPS  # `_dilate`'s balls
+        x, y = np.nonzero(near[b][:, None] & near[a][None, :])
+        strict = True
+    grown = RevealedRelation(space, np.concatenate([r.x, x]), np.concatenate([r.y, y]),
+                             np.concatenate([r.strict, np.full(len(x), strict)]),
+                             np.concatenate([r.pair_index, np.zeros(len(x), dtype=r.pair_index.dtype)]), r.monotone)
+    return Preference(space, _min_height(grown.condensation)), False
 
 
 def extend_preference(r: RevealedRelation, policy: RationalizationPolicy) -> Preference:
-    """Extend consistent revealed data to a full preference under a policy."""
+    """Extend consistent revealed data to a full preference under a policy.
+
+    canonical is the lowest extension (`_min_height`); adversarial_far is the rationalization farthest from the
+    policy's target, at the exact largest distance, built around one pair (see
+    `adversarial_far_extension`).
+    """
     _require_consistent(r)
     if policy.tag == "canonical":
         return Preference(r.space, _min_height(r.condensation))

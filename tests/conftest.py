@@ -242,3 +242,46 @@ def reference_far_search(r, target, seed, budget):
             exhausted = False
             break
     return best.rank.tolist(), exhausted
+
+
+def naive_closures(r):
+    """(L, S) of a revealed relation, by one depth-first search per start over (point, crossed a strict edge).
+
+    The edges are every cell of `whole_cells`, strict where the strict cells hold it. L[x, y] when a path runs from
+    x to y, x reaching itself by the empty path; S[x, y] when such a path crosses a strict edge.
+    """
+    n = r.space.num_points
+    weak, strict = r.whole_cells(strict=False), r.whole_cells(strict=True)
+    succ = [[(y, bool(strict[x, y])) for y in range(n) if weak[x, y]] for x in range(n)]
+    closure, strict_closure = np.zeros((n, n), dtype=bool), np.zeros((n, n), dtype=bool)
+    for start in range(n):
+        seen, stack = {(start, False)}, [(start, False)]
+        while stack:
+            node, crossed = stack.pop()
+            closure[start, node] = True
+            strict_closure[start, node] |= crossed
+            for nxt, is_strict in succ[node]:
+                state = (nxt, crossed or is_strict)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+    return closure, strict_closure
+
+
+def farthest_row_distance(space, rows, target) -> float:
+    """The largest Hausdorff distance from the preorders of a (K, n) rank-row array to the target Preference.
+
+    Each pair of points is one of n * n cells, and two cells lie max(D[i, k], D[j, l]) apart. Directed distances
+    are a min over one graph's cells and a max over the other's, written out cell by cell in NumPy.
+    """
+    D = space.distance_matrix
+    n = space.num_points
+    apart = np.maximum(D[:, None, :, None], D[None, :, None, :]).reshape(n * n, n * n)  # [(i, j), (k, l)]
+    graphs = (rows[:, :, None] >= rows[:, None, :]).reshape(len(rows), n * n)
+    mine = target.graph.ravel()
+    to_target = apart[:, mine].min(axis=1)  # each cell's distance to the target's graph
+    ahead = np.where(graphs, to_target, 0.0).max(axis=1)
+    back = np.zeros(len(rows))
+    for cell in np.flatnonzero(mine):
+        back = np.maximum(back, np.where(graphs, apart[cell], np.inf).min(axis=1))
+    return float(np.maximum(ahead, back).max())

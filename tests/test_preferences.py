@@ -185,26 +185,6 @@ def test_distance_to_a_fixed_preference_matches_loop_oracle(name, data):
         assert to_b(pc) == pytest.approx(brute_graph_distance(space, pc, pb), abs=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(ENVELOPE_SPACES)), st.data())
-def test_distance_above_a_floor_is_exact(name, data):
-    # a floor at every distance value: above the true distance the map may answer "at most floor", below it not
-    space = ENVELOPE_SPACES[name]
-    n = space.num_points
-    ranks = st.lists(st.integers(0, 3), min_size=n, max_size=n)
-    pa, pb = pref(space, data.draw(ranks)), pref(space, data.draw(ranks))
-    want = brute_graph_distance(space, pa, pb)
-    to_b = _distance_to(pb)
-    exact = to_b(pa)
-    assert exact == pytest.approx(want, abs=1e-12)
-    for floor in space.distance_values.tolist():
-        got = to_b(pa, floor)
-        if exact > floor:
-            assert got == exact
-        else:
-            assert got <= floor
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(sorted(FOLD_SPACES)), st.data())
 def test_graph_diameter_is_the_largest_pairwise_distance(name, data):

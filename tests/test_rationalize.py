@@ -70,7 +70,9 @@ from conftest import (
     brute_graph_distance,
     dataset,
     full_arc_walk,
+    farthest_row_distance,
     longest_path_ranks,
+    naive_closures,
     naive_transitive_reduction,
     per_start_witness,
     reference_far_search,
@@ -117,6 +119,53 @@ def draw_tiled_data(data, max_line, g=None):
     options = [(True, False), (False, True)] + ([(True, True)] if mode == "strong" else [])
     picks = data.draw(st.lists(st.sampled_from(options), min_size=len(e), max_size=len(e)))
     return e, ChoiceSequence(e, np.array(picks, dtype=bool), mode), monotone
+
+
+def holding_rows(r):
+    """The rank rows of the preorder table that hold r's whole cells: weakly, and strictly where a cell is strict."""
+    table = rationalize_module._preorder_table(r.space.num_points)
+    weak = (table[:, :, None] >= table[:, None, :])[:, r.whole_cells(strict=False)].all(axis=1)
+    strict = (table[:, :, None] > table[:, None, :])[:, r.whole_cells(strict=True)].all(axis=1)
+    return table[weak & strict]
+
+
+def far_bound(r, target):
+    """max(h(U -> q), h(q -> L)) for the target q, with L and S from the path-search oracle and U the complement of
+    S's transpose, h the directed Hausdorff distance cell by cell."""
+    closure, strict_closure = naive_closures(r)
+    D = r.space.distance_matrix
+
+    def directed(a, b):
+        cells_b = np.argwhere(b)
+        return max(min(max(D[i, k], D[j, l]) for k, l in cells_b) for i, j in np.argwhere(a))
+
+    return float(max(directed(~strict_closure.T, target.graph), directed(target.graph, closure)))
+
+
+FAR_SPACES = {
+    **{f"line{n}": make_grid_euclidean(1, n, (0.0, 1.0)) for n in range(2, 8)},
+    "grid2x2": make_grid_euclidean(2, 2, (0.0, 1.0)),
+    "simplex3x2": make_lottery_simplex(3, 2),
+}
+
+
+def draw_far_case(data):
+    """Data on a space of at most 7 points that fits a drawn class, chosen by a truth in the class, and a target.
+
+    A monotone truth counts the points each point weakly dominates, ten to a step, plus a drawn term below 10, so
+    a strict dominance stays strict. The target is a drawn rank row, the truth turned round, or total indifference.
+    """
+    g = FAR_SPACES[data.draw(st.sampled_from(sorted(FAR_SPACES)))]
+    n = g.num_points
+    monotone = data.draw(st.sampled_from(["none", "weak", "strict"]))
+    mode = data.draw(st.sampled_from(["strong", "weak"]))
+    noise = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    values = noise if monotone == "none" else 10.0 * g.weak_order.sum(axis=1) + noise
+    e = enumerate_pairs(dense_subset(g), "shuffled", data.draw(st.integers(0, 99)))
+    c = generate_choices(from_utility(g, values), e, mode=mode, tie_policy="both" if mode == "strong" else "first")
+    ranks = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    target = from_utility(g, np.array(data.draw(ranks | st.just(list(-values)) | st.just([0.0] * n)), dtype=float))
+    return e, c, monotone, target
 
 
 def ordered_bell(n):
@@ -543,6 +592,26 @@ class TestCoverWalk:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+class TestClosures:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_closures_match_path_search(self, data):
+        # free picks on spaces of at most 7 points, under every class and mode; S is read only on consistent data,
+        # where no strict edge joins two points of one component. The cover walk that builds the reach keeps the
+        # transitive reduction
+        g = data.draw(st.sampled_from([None, FAR_SPACES["simplex3x2"]]))
+        e, c, monotone = draw_tiled_data(data, 7, g)
+        r = revealed_relation(e, c, c.mode, monotone=monotone)
+        cond = r.condensation
+        closure, strict_closure = naive_closures(r)
+        assert np.array_equal(cond.closure, closure)
+        if cond.consistent:
+            assert np.array_equal(cond.strict_closure, strict_closure)
+        arcs = list(zip(cond.arc_u.tolist(), cond.arc_v.tolist()))
+        covers = {arc for arc, keep in zip(arcs, cond.covering.tolist()) if keep}
+        assert covers == naive_transitive_reduction(cond.num_comps, arcs)
+
+
 def whole_order_relation(r, monotone):
     """r's data edges and, as monotonicity edges of the class, every ordered pair of the space order: the relation
     before covers."""
@@ -725,11 +794,15 @@ class TestSeededGolden:
         assert (res.value, res.method, res.num_candidates) == (1.0 / 3.0, "sampled", candidates)
 
     def test_adversarial_far_result(self, grid_data):
+        # the constructed extension, the same for every seed; the search's seed-2 draw was
+        # [0, 0, 1, 2, 0, 1, 2, 2, 1, 2, 2, 2, 2, 2, 2, 3], at the same distance 1/3
         truth, e, c = grid_data
         r = revealed_relation(e, c, "strong", monotone="weak")
         far, exhausted = adversarial_far_extension(r, truth, seed=2, budget=400)
-        assert far.rank.tolist() == [0, 0, 1, 2, 0, 1, 2, 2, 1, 2, 2, 2, 2, 2, 2, 3]
+        assert far.rank.tolist() == [0, 0, 0, 2, 0, 1, 2, 2, 0, 2, 2, 2, 2, 2, 2, 3]
         assert exhausted is False
+        assert closed_convergence_distance(far, truth) == pytest.approx(far_bound(r, truth), abs=1e-12)
+        assert far_bound(r, truth) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 class TestAdversarialFar:
@@ -765,7 +838,12 @@ class TestAdversarialFar:
         target = from_utility(g, data.draw(st.sampled_from([-values, np.zeros(len(g)), values])))
         seed, budget = data.draw(st.integers(0, 2**16)), data.draw(st.integers(1, 240) | st.just(51))
         far, exhausted = adversarial_far_extension(r, target, seed, budget)
-        assert (far.rank.tolist(), exhausted) == reference_far_search(r, target, seed, budget)
+        d = closed_convergence_distance(far, target)
+        # the search's best draw is a lower bound, and the enumerated maximum is the value
+        best, _ = reference_far_search(r, target, seed, budget)
+        assert d >= closed_convergence_distance(Preference(g, best), target) - 1e-12
+        assert d == pytest.approx(farthest_row_distance(g, holding_rows(r), target), abs=1e-12)
+        assert exhausted is False
 
     @pytest.mark.parametrize("field, value", [
         ("seed", -1), ("seed", 1.5), ("seed", True), ("budget", -3), ("budget", 2.5), ("budget", "400"),
@@ -779,12 +857,67 @@ class TestAdversarialFar:
         with pytest.raises(ConfigurationError, match=field):
             RationalizationPolicy(tag="adversarial_far", target=target, **{field: value})
 
-    def test_budget_0_makes_one_draw(self, line5):
+    def test_seed_and_budget_change_nothing(self, line5):
+        # every seed and budget, 0 included, returns the one constructed extension: the search's seed-3 draw with
+        # budget 0 was [0, 0, 0, 1, 0], at distance 0, and the extension sits at the largest distance, 0.8
         e, c = dataset(line5, [(0, 3, (3,))], "strong")
         r = revealed_relation(e, c, "strong")
         target = extend_preference(r, RationalizationPolicy())
-        far, exhausted = adversarial_far_extension(r, target, seed=3, budget=0)
-        assert (far.rank.tolist(), exhausted) == reference_far_search(r, target, 3, 0)
+        got = {(tuple(far.rank.tolist()), exhausted)
+               for seed in (0, 3, 2**16) for budget in (0, 1, 400)
+               for far, exhausted in [adversarial_far_extension(r, target, seed, budget)]}
+        assert got == {((0, 0, 0, 1, 2), False)}
+        assert closed_convergence_distance(Preference(line5, [0, 0, 0, 1, 2]), target) == pytest.approx(0.8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_is_the_enumerated_maximum(self, data):
+        # spaces of at most 7 points, every class and mode: the far extension holds r's whole cells, weakly where
+        # a cell is weak and strictly where it is strict, and sits at the largest distance of any that does
+        e, c, monotone, target = draw_far_case(data)
+        k = data.draw(st.integers(1, len(e)))
+        r = revealed_relation(*restrict(e, c, k), c.mode, monotone=monotone)
+        far, exhausted = adversarial_far_extension(r, target)
+        rank = far.rank
+        assert (rank[:, None] >= rank[None, :])[r.whole_cells(strict=False)].all()
+        assert (rank[:, None] > rank[None, :])[r.whole_cells(strict=True)].all()
+        want = farthest_row_distance(e.space, holding_rows(r), target)
+        assert closed_convergence_distance(far, target) == pytest.approx(want, abs=1e-12)
+        assert want == pytest.approx(far_bound(r, target), abs=1e-12)
+        assert exhausted is False
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_never_rises_along_the_prefixes(self, data):
+        # each pair can only shrink the rationalization set, so the farthest of it comes no farther
+        e, c, monotone, target = draw_far_case(data)
+        values = [closed_convergence_distance(adversarial_far_extension(
+            revealed_relation(*restrict(e, c, k), c.mode, monotone=monotone), target)[0], target)
+            for k in range(1, len(e) + 1)]
+        assert all(later <= earlier + 1e-12 for earlier, later in zip(values, values[1:]))
+
+    def test_target_must_be_a_preference(self, line5):
+        e, c = dataset(line5, [(0, 3, (3,))], "strong")
+        r = revealed_relation(e, c, "strong")
+        gen = from_utility(line5, line5.points[:, 0])
+        for target in (gen.relation(), None, gen.rank):
+            with pytest.raises(DomainError, match="must be a Preference"):
+                adversarial_far_extension(r, target)
+            with pytest.raises(ConfigurationError, match="target Preference"):
+                RationalizationPolicy(tag="adversarial_far", target=target)
+        with pytest.raises(ConfigurationError, match="target Preference, got str"):
+            RationalizationPolicy(tag="adversarial_far", target="generator")
+
+    def test_target_is_checked_before_any_work(self, line5, monkeypatch):
+        # inconsistent data would raise PreconditionError, so a DomainError shows the target is checked first
+        e, c = dataset(line5, [(0, 1, (0,)), (0, 1, (1,))], "strong")
+        r = revealed_relation(e, c, "strong")
+        other = from_utility(make_grid_euclidean(1, 5, (0.0, 1.0)), np.arange(5.0))
+        monkeypatch.setattr(rationalize_module, "_require_consistent", mock.Mock(side_effect=AssertionError))
+        for target in (other, other.relation(), None):
+            with pytest.raises(DomainError):
+                adversarial_far_extension(r, target)
+        assert "condensation" not in vars(r)
 
     def test_policy_requires_target(self):
         with pytest.raises(ConfigurationError):
@@ -1124,7 +1257,8 @@ class TestDiameter:
     ])
     def test_two_candidates(self, monkeypatch, free, policy_class, value):
         # strong data on every pair of a 9-point line but one leaves that pair strict or tied: two
-        # candidates, measured by the K-row cover test; values recorded while two rows had their own test
+        # candidates, measured by the fold, which bisects the first row and tests each later row once, at the
+        # running best; values recorded while two rows had their own test
         line9 = from_points(np.array([0.0, 0.1, 0.3, 0.35, 0.7, 0.8, 1.0, 1.4, 1.5]).reshape(-1, 1))
         pairs = [pair for pair in itertools.combinations(range(9), 2) if pair != free]
         e = ExperimentSequence(line9, dense_subset(line9), tuple(pairs))
