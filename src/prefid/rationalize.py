@@ -232,6 +232,9 @@ class _Condensation:
     transpose: G must hold every pair of L and must not hold (b, a) for a pair (a, b) of S. These are the finite
     forms of Richter's closure (M. Richter, "Revealed Preference Theory", Econometrica 1966) and of Varian's
     revealed-preferred sets (H. Varian, "The Nonparametric Approach to Demand Analysis", Econometrica 1982).
+    So no rationalization is farther from a target q than max(h(U -> q), h(q -> L)), and
+    `adversarial_far_extension` returns one that is exactly that far: one pair attains the larger term, and the
+    extension built around it stays between L and U.
     """
 
     labels: np.ndarray            # point index -> component id
