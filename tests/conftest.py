@@ -215,7 +215,8 @@ def per_start_witness(r):
 
 
 def reference_far_search(r, target, seed, budget):
-    """The far search as a plain loop: (ranks of the farthest draw, budget_exhausted).
+    """The seeded far search as a plain loop, a lower bound for the far extension: (ranks of the farthest draw,
+    budget_exhausted).
 
     One `sample_extension` draw per trial, its merge probability drawn first. A draw replaces the best only when it
     is strictly farther from the target, and resets the stale counter; any other draw adds one to it. The search

@@ -69,8 +69,8 @@ from prefid.rationalize import (
 from conftest import (
     brute_graph_distance,
     dataset,
-    full_arc_walk,
     farthest_row_distance,
+    full_arc_walk,
     longest_path_ranks,
     naive_closures,
     naive_transitive_reduction,
@@ -794,8 +794,7 @@ class TestSeededGolden:
         assert (res.value, res.method, res.num_candidates) == (1.0 / 3.0, "sampled", candidates)
 
     def test_adversarial_far_result(self, grid_data):
-        # the constructed extension, the same for every seed; the search's seed-2 draw was
-        # [0, 0, 1, 2, 0, 1, 2, 2, 1, 2, 2, 2, 2, 2, 2, 3], at the same distance 1/3
+        # the constructed extension, the same for every seed, at the bound the path-search oracle gives
         truth, e, c = grid_data
         r = revealed_relation(e, c, "strong", monotone="weak")
         far, exhausted = adversarial_far_extension(r, truth, seed=2, budget=400)
@@ -858,8 +857,7 @@ class TestAdversarialFar:
             RationalizationPolicy(tag="adversarial_far", target=target, **{field: value})
 
     def test_seed_and_budget_change_nothing(self, line5):
-        # every seed and budget, 0 included, returns the one constructed extension: the search's seed-3 draw with
-        # budget 0 was [0, 0, 0, 1, 0], at distance 0, and the extension sits at the largest distance, 0.8
+        # every seed and budget, 0 included, returns the one constructed extension, at the largest distance 0.8
         e, c = dataset(line5, [(0, 3, (3,))], "strong")
         r = revealed_relation(e, c, "strong")
         target = extend_preference(r, RationalizationPolicy())
