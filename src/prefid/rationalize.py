@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import CapacityError, ConfigurationError, DomainError, PreconditionError, ResolutionError
 from .experiments import STRONG, WEAK, ChoiceSequence, ExperimentSequence
-from .preferences import Preference, _dilate, _envelopes, _graph_diameter, _least_radius, from_utility
+from .preferences import Preference, _dilate, _envelopes, _graph_diameter, _least_radius, _within, from_utility
 from .spaces import _EPS, OrderedSpace, _frozen, _int_field, _owned, same_space
 
 __all__ = [
@@ -234,7 +234,9 @@ class _Condensation:
     revealed-preferred sets (H. Varian, "The Nonparametric Approach to Demand Analysis", Econometrica 1982).
     So no rationalization is farther from a target q than max(h(U -> q), h(q -> L)), and
     `adversarial_far_extension` returns one that is exactly that far: one pair attains the larger term, and the
-    extension built around it stays between L and U.
+    extension built around it stays between L and U. For the same reason no two rationalizations lie farther
+    apart than h(U -> L), U being `upper`; the sampled diameter stops its search at that ceiling (see
+    `_relation_diameter`).
     """
 
     labels: np.ndarray            # point index -> component id
@@ -303,6 +305,15 @@ class _Condensation:
             below[over] = True
             reach[comp] = below
         return reach[np.ix_(self.labels, self.labels)]
+
+    @property
+    def upper(self) -> np.ndarray:
+        """U over the points, (n, n) bool: the complement of S's transpose, every pair a rationalization may hold.
+
+        Built on each read from the cached S, since each reader reads it once; a cached U would also widen the
+        attribute dict of every condensation, the sampler's included.
+        """
+        return ~self.strict_closure.T
 
     @cached_property
     def above(self) -> list[list[int]]:
@@ -589,7 +600,7 @@ def adversarial_far_extension(
         raise DomainError("the target and the data live on different spaces")
     _require_consistent(r)
     cond, radii = r.condensation, space.distance_values
-    upper = ~cond.strict_closure.T
+    upper = cond.upper
 
     def off_target(radius):  # the pairs of U outside q's radius-dilation
         hi, lo = _envelopes(space, radius, target.rank)
@@ -983,7 +994,9 @@ class DiameterResult:
     """Diameter of the rationalization set, with the mode that produced it."""
 
     value: float
-    method: str  # exact: every rationalizing total preorder; sampled: a lower bound over seeded draws
+    # exact: every rationalizing total preorder. sampled: a lower bound over seeded draws, and at most h(U -> L)
+    # of the data's closures (see `_Condensation`); it reads that ceiling whenever two draws lie that far apart
+    method: str
     num_candidates: int
 
     def __float__(self) -> float:
@@ -1010,7 +1023,14 @@ def diameter_estimate(
     (at most about 4.8 MB, nearly all of it the 545,835 rows of n = 8).
     Otherwise it is a sampled lower bound over the two extremal height
     assignments and seeded random extensions, num_samples draws in all; a
-    num_samples below 2 still draws the two extremal extensions.
+    num_samples below 2 still draws the two extremal extensions. No two
+    rationalizations lie farther apart than h(U -> L), the directed
+    Hausdorff distance from the pairs the data leave open to the closure of
+    the revealed relation (see `_Condensation`). The sampled value is at
+    most that ceiling, and it is reported at the ceiling, without measuring
+    every candidate, as soon as two draws are found that far apart. Data
+    that leave one rationalization give 0.0 and one candidate, with nothing
+    drawn.
     Raises ConfigurationError for an unknown policy class or unless
     num_samples and seed are whole numbers of at least 0, and
     PreconditionError for inconsistent data.
@@ -1033,6 +1053,15 @@ def _relation_diameter(r: RevealedRelation, num_samples: int, seed: int) -> Diam
     r's monotone class names the policy class, "none" the class "all". The exact branch keeps the table's rows,
     already distinct and sorted, and checks consistency only when none replays: consistent data always keeps its
     canonical extension.
+
+    The sampled value is the fold of `_graph_diameter` over the candidates: a least index into
+    `space.distance_values`. Every candidate holds L and lies in U, so that index is at most the ceiling c, the
+    index of h(U -> L) (`_diameter_ceiling`). When some row lies outside the radius-dilation of the least or the
+    greatest row at the value below c (`_ends_apart`), the fold would return the value at c, which is returned
+    without it; otherwise the fold runs. Either way the value is the fold's, bit for bit. The closures are built
+    after the draws, which read neither. When L = U the data leave one rationalization, which every draw would
+    return: the value is 0.0 with one candidate, and nothing is drawn. The seed's generator is never read again,
+    so no caller sees the skipped draws.
     """
     space = r.space
     n = space.num_points
@@ -1043,14 +1072,48 @@ def _relation_diameter(r: RevealedRelation, num_samples: int, seed: int) -> Diam
             _require_consistent(r)
         return DiameterResult(_graph_diameter(space, ranks, as_graphs=True), "exact", len(ranks))
     _require_consistent(r)
-    cond = r.condensation
-    draws = [_min_height(cond), _max_height(cond)]
+    cond, radii = r.condensation, space.distance_values
+    low = _min_height(cond)
+    # L = U iff the components form one chain of strict steps, which is when the lowest extension's top rank is
+    # one below the number of components; unlike comparing the closures, this leaves the reach unbuilt
+    if low.max() + 1 == cond.num_comps:
+        return DiameterResult(float(radii[0]), "sampled", 1)
+    rows = _sampled_candidates(cond, low, num_samples, seed)
+    ceiling = _diameter_ceiling(cond, space)
+    if ceiling == 0 or _ends_apart(space, radii[ceiling - 1], rows):
+        return DiameterResult(float(radii[ceiling]), "sampled", len(rows))
+    return DiameterResult(_graph_diameter(space, rows), "sampled", len(rows))
+
+
+def _diameter_ceiling(cond: _Condensation, space: OrderedSpace) -> int:
+    """h(U -> L) of the condensation's closures, as the least index into `space.distance_values` at which U lies
+    in L's `_dilate`: no two rationalizations lie farther apart."""
+    upper, closure = cond.upper, cond.closure
+    return _least_radius(space, lambda radius: not (upper & ~_dilate(space, radius, closure)).any())
+
+
+def _ends_apart(space: OrderedSpace, radius: float, rows: np.ndarray) -> bool:
+    """Whether some rank row lies outside the radius-dilation of the first or the last row, so that two rows lie
+    farther than radius apart: each end's `_envelopes`, then one O(n) `_within` test a row."""
+    for end in (rows[0], rows[-1]):
+        hi, lo = _envelopes(space, radius, end)
+        if not all(_within(hi, lo, row) for row in rows):
+            return True
+    return False
+
+
+def _sampled_candidates(cond: _Condensation, low: np.ndarray, num_samples: int, seed: int) -> np.ndarray:
+    """The sampled diameter's distinct candidate rank rows, sorted: the two extremal extensions, `low` (the
+    condensation's `_min_height`) and `_max_height`, then seeded walks of `_sample_ranks` at four merge
+    probabilities in turn, num_samples draws in all (never fewer than the two)."""
+    draws = [low, _max_height(cond)]
     words = _RawWords(np.random.default_rng(seed))  # the seed's own generator, never read again: never synced
     probs = [0.0, 0.25, 0.5, 0.85]
     for i in range(max(0, num_samples - len(draws))):
         draws.append(_sample_ranks(cond, words, probs[i % len(probs)]))
-    uniq = np.unique(np.stack(draws), axis=0)
-    return DiameterResult(_graph_diameter(space, uniq), "sampled", int(uniq.shape[0]))
+    stack = np.stack(draws)
+    del draws  # freed before np.unique sorts its copies of the stack, where the query's memory peaks
+    return np.unique(stack, axis=0)
 
 
 def result_to_json(

@@ -154,8 +154,16 @@ class OrderedSpace:
 
     @cached_property
     def distance_values(self) -> np.ndarray:
-        """Sorted distinct values of the distance matrix."""
-        return _frozen(np.unique(self.distance_matrix))
+        """Sorted distinct radii of the distance matrix: one value per distinct set of closed balls.
+
+        A ball of radius r holds the points within r + `_EPS`, so two values give the same balls exactly when the
+        same values lie at or below each plus `_EPS`. Float-rounding copies of one distance do, and each such
+        group keeps only its first value (28 values become 12 on a 12x12 grid). A least-radius search stops at a
+        group's first value either way, so every radius it returns is unchanged.
+        """
+        values = np.unique(self.distance_matrix)
+        admitted = np.searchsorted(values, values + _EPS, side="right")  # how many values each one's balls hold
+        return _frozen(values[np.concatenate(([True], admitted[1:] != admitted[:-1]))])
 
     def index_of(self, vector: Sequence[float]) -> int:
         """Index of the first point within 1e-9 of `vector` in every coordinate; DomainError if there is none, or if

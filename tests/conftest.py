@@ -4,6 +4,15 @@ The oracles here are deliberately naive (pure Python loops, quadratic or
 worse) so they cannot share bugs with the vectorized library paths.
 """
 
+import os
+import sys
+
+# One BLAS thread. OpenBLAS reads the variable once, when NumPy loads, and no plugin loads NumPy before this file.
+# Every product in the library sums 0/1 terms, so no result can move; a 144-point product that takes 0.1-0.2 ms
+# on one thread took 32-34 ms on two threads while another process kept the second CPU busy.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

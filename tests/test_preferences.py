@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -22,6 +23,7 @@ from prefid import (
 from prefid import preferences as preferences_module
 from prefid.errors import DomainError
 from prefid.preferences import _distance_to, _graph_diameter, from_utility
+from prefid.spaces import _EPS
 
 from conftest import brute_dilation, brute_graph_distance
 
@@ -207,6 +209,50 @@ def test_graph_diameter_is_the_largest_pairwise_distance(name, data):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(preferences_module, "_GRAPH_CHUNK", chunk)
             assert _graph_diameter(space, stack, as_graphs=True) == value
+
+
+def draw_radius_space(data):
+    """A grid, a lottery simplex, a random point list, or points on a line a fraction of `_EPS` apart, whose
+    distances hold chains of values closer than `_EPS` that may span more than it."""
+    kind = data.draw(st.sampled_from(["grid", "simplex", "points", "eps_chain"]))
+    if kind == "grid":
+        dims = data.draw(st.integers(1, 2))
+        return make_grid_euclidean(dims, data.draw(st.integers(2, 7 if dims == 1 else 4)), (0.0, 1.0))
+    if kind == "simplex":
+        return make_lottery_simplex(data.draw(st.integers(2, 3)), data.draw(st.integers(1, 3)))
+    if kind == "points":
+        coords = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+        return from_points(np.array(data.draw(st.lists(coords, min_size=2, max_size=8, unique=True))))
+    cells = st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4)), min_size=2, max_size=8, unique=True)
+    return from_points(np.array([[whole + 0.45 * _EPS * part] for whole, part in data.draw(cells)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_grouped_radii_give_every_search_the_same_value(data):
+    # a copy of the space whose searches run over every distinct distance, float-rounding copies included:
+    # every radius search returns the same value, bit for bit, and each dropped value has the balls of the kept
+    # value below it
+    space = draw_radius_space(data)
+    whole = dataclasses.replace(space)
+    vars(whole)["distance_values"] = np.unique(whole.distance_matrix)
+    grouped, D = space.distance_values, space.distance_matrix
+    kept = grouped[np.searchsorted(grouped, whole.distance_values, side="right") - 1]
+    for value, first in zip(whole.distance_values, kept):
+        assert np.array_equal(D <= value + _EPS, D <= first + _EPS)
+    assert all((D <= a + _EPS).sum() < (D <= b + _EPS).sum() for a, b in zip(grouped, grouped[1:]))
+    n = space.num_points
+    rows = np.array([data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+                     for _ in range(data.draw(st.integers(2, 5)))])
+    bits = st.lists(st.booleans(), min_size=n * n, max_size=n * n).filter(any)
+    graphs = [np.reshape(data.draw(bits), (n, n)) for _ in range(2)]
+
+    def searches(s):
+        return (closed_convergence_distance(pref(s, rows[0]), pref(s, rows[1])),
+                closed_convergence_distance(*(BinaryRelation(s, graph) for graph in graphs)),
+                _graph_diameter(s, rows), _graph_diameter(s, rows, as_graphs=True))
+
+    assert searches(space) == searches(whole)
 
 
 def test_distance_of_preferences_builds_no_graph(grid3):

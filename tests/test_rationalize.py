@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from prefid import (
@@ -149,13 +149,15 @@ FAR_SPACES = {
 }
 
 
-def draw_far_case(data):
-    """Data on a space of at most 7 points that fits a drawn class, chosen by a truth in the class, and a target.
+def draw_far_case(data, g=None):
+    """Data on the space g, or else on a space of at most 7 points, that fits a drawn class, chosen by a truth in
+    the class, and a target.
 
     A monotone truth counts the points each point weakly dominates, ten to a step, plus a drawn term below 10, so
     a strict dominance stays strict. The target is a drawn rank row, the truth turned round, or total indifference.
     """
-    g = FAR_SPACES[data.draw(st.sampled_from(sorted(FAR_SPACES)))]
+    if g is None:
+        g = FAR_SPACES[data.draw(st.sampled_from(sorted(FAR_SPACES)))]
     n = g.num_points
     monotone = data.draw(st.sampled_from(["none", "weak", "strict"]))
     mode = data.draw(st.sampled_from(["strong", "weak"]))
@@ -1237,9 +1239,9 @@ class TestDiameter:
     def test_sampled_value_is_largest_pairwise_oracle_distance(self, grid3, monkeypatch):
         # a 9-point grid takes the sampled branch; capture the candidate rank rows it measures
         seen = []
-        real = rationalize_module._graph_diameter
-        monkeypatch.setattr(rationalize_module, "_graph_diameter",
-                            lambda space, stack: seen.append(stack) or real(space, stack))
+        real = rationalize_module._sampled_candidates
+        monkeypatch.setattr(rationalize_module, "_sampled_candidates",
+                            lambda *args: seen.append(real(*args)) or seen[-1])
         e, c = dataset(grid3, [(0, 8, (8,)), (2, 6, (2, 6)), (1, 5, (5,))], "strong")
         res = diameter_estimate(e, c, "all", num_samples=12, seed=3)
         (rows,) = seen
@@ -1255,16 +1257,17 @@ class TestDiameter:
     ])
     def test_two_candidates(self, monkeypatch, free, policy_class, value):
         # strong data on every pair of a 9-point line but one leaves that pair strict or tied: two
-        # candidates, measured by the fold, which bisects the first row and tests each later row once, at the
-        # running best; values recorded while two rows had their own test
+        # candidates, measured at the ceiling h(U -> L) when they reach it, else by the fold, which bisects the
+        # first row and tests each later row once, at the running best; values recorded while two rows had their
+        # own test
         line9 = from_points(np.array([0.0, 0.1, 0.3, 0.35, 0.7, 0.8, 1.0, 1.4, 1.5]).reshape(-1, 1))
         pairs = [pair for pair in itertools.combinations(range(9), 2) if pair != free]
         e = ExperimentSequence(line9, dense_subset(line9), tuple(pairs))
         c = ChoiceSequence(e, tuple((j,) for _, j in pairs), "strong")
         seen = []
-        real = rationalize_module._graph_diameter
-        monkeypatch.setattr(rationalize_module, "_graph_diameter",
-                            lambda space, stack: seen.append(stack) or real(space, stack))
+        real = rationalize_module._sampled_candidates
+        monkeypatch.setattr(rationalize_module, "_sampled_candidates",
+                            lambda *args: seen.append(real(*args)) or seen[-1])
         res = diameter_estimate(e, c, policy_class, num_samples=10, seed=0)
         assert (res.value, res.method, res.num_candidates) == (value, "sampled", 2)
         (rows,) = seen
@@ -1297,6 +1300,104 @@ class TestDiameter:
         e, c = dataset(line5, [(0, 1, (0,))], "strong")
         res = diameter_estimate(e, c)
         assert float(res) == res.value
+
+
+# spaces of 9 and 10 points: the sampled branch under every class
+CEILING_SPACES = {
+    "grid3x3": make_grid_euclidean(2, 3, (0.0, 1.0)),
+    "line10": make_grid_euclidean(1, 10, (0.0, 1.0)),
+    "simplex3x3": make_lottery_simplex(3, 3),
+    "dated3x3": make_dated_rewards(3, 3, ((0.0, 1.0), (0.0, 1.0))),
+}
+
+
+def draw_prefix_relation(data, g=None):
+    """The revealed relation of a drawn prefix of data on the space g, or else on a space of at most 7 points,
+    under a drawn class and mode: data of a truth in the class, or free picks, which may be inconsistent."""
+    if data.draw(st.booleans()):
+        e, c, monotone, _ = draw_far_case(data, g)
+    else:
+        e, c, monotone = draw_tiled_data(data, 7, g)
+    return revealed_relation(*restrict(e, c, data.draw(st.integers(1, len(e)))), c.mode, monotone=monotone)
+
+
+class TestDiameterCeiling:
+    """h(U -> L), the sampled diameter's ceiling, against the preorder table and the fold it stops."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_ceiling_is_the_largest_distance_between_holding_preorders(self, data):
+        # spaces of at most 7 points, every class and mode: the rows of the table that hold r's whole cells are
+        # its rationalizations, measured pairwise by the cell oracle while few, else by the exact branch's fold
+        r = draw_prefix_relation(data, data.draw(st.sampled_from([None, FAR_SPACES["simplex3x2"]])))
+        if not r.condensation.consistent:
+            return
+        space, rows = r.space, holding_rows(r)
+        value = space.distance_values[rationalize_module._diameter_ceiling(r.condensation, space)]
+        if len(rows) <= 30:
+            want = max(farthest_row_distance(space, rows, Preference(space, row)) for row in rows)
+        else:
+            want = preferences_module._graph_diameter(space, rows, as_graphs=True)
+        assert value == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_sampled_value_is_the_fold_to_the_bit(self, data):
+        # spaces of 9 and 10 points, every class and mode, 0 to 12 draws: value and count are the fold's over the
+        # same candidates, at the ceiling or below it; L = U exactly when the lowest extension is a strict chain of
+        # the components, and then one candidate is counted
+        g = CEILING_SPACES[data.draw(st.sampled_from(sorted(CEILING_SPACES)))]
+        r = draw_prefix_relation(data, g)
+        cond = r.condensation
+        if not cond.consistent:
+            return
+        num_samples, seed = data.draw(st.integers(0, 12)), data.draw(st.integers(0, 2**32 - 1))
+        rows = rationalize_module._sampled_candidates(cond, _min_height(cond), num_samples, seed)
+        got = _relation_diameter(r, num_samples, seed)
+        assert got == DiameterResult(preferences_module._graph_diameter(g, rows), "sampled", len(rows))
+        ceiling = g.distance_values[rationalize_module._diameter_ceiling(cond, g)]
+        assert got.value <= ceiling
+        event("at the ceiling" if got.value == ceiling else "below the ceiling")
+        one = np.array_equal(cond.closure, cond.upper)
+        assert (_min_height(cond).max() + 1 == cond.num_comps) == one
+        if one:
+            assert (got.value, got.num_candidates) == (0.0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_ceiling_never_rises_along_prefixes(self, data):
+        # data of a truth in the class stay consistent on every prefix, and each prefix holds the last one's edges
+        g = data.draw(st.sampled_from([None, *CEILING_SPACES.values()]))
+        e, c, monotone, _ = draw_far_case(data, g)
+        r = revealed_relation(e, c, c.mode, monotone=monotone)
+        ks = sorted(data.draw(st.lists(st.integers(0, len(e)), min_size=2, max_size=6, unique=True)))
+        ceilings = [rationalize_module._diameter_ceiling(r.prefix(k).condensation, r.space) for k in ks]
+        assert ceilings == sorted(ceilings, reverse=True)
+
+    def test_ceiling_reached_skips_the_fold(self, grid3, monkeypatch):
+        # two draws 0.5 apart reach the ceiling, so no candidate set is folded
+        e, c = dataset(grid3, [(0, 8, (8,)), (2, 6, (2, 6)), (1, 5, (5,))], "strong")
+        monkeypatch.setattr(rationalize_module, "_graph_diameter", mock.Mock(side_effect=AssertionError("folded")))
+        assert diameter_estimate(e, c, "all", num_samples=12, seed=3) == DiameterResult(0.5, "sampled", 12)
+
+    def test_one_rationalization_draws_nothing(self, grid3, monkeypatch):
+        # strong data on every pair, chosen by a strict truth, leave one rationalization: L = U
+        e = enumerate_pairs(dense_subset(grid3))
+        c = generate_choices(from_utility(grid3, np.arange(9.0)), e, mode="strong")
+        cond = revealed_relation(e, c, "strong").condensation
+        assert np.array_equal(cond.closure, cond.upper)
+        monkeypatch.setattr(rationalize_module, "_sampled_candidates", mock.Mock(side_effect=AssertionError("drew")))
+        for policy_class in ("all", "weak_monotone", "strict_monotone"):
+            assert diameter_estimate(e, c, policy_class, num_samples=50, seed=1) == DiameterResult(0.0, "sampled", 1)
+
+    def test_one_candidate_below_the_ceiling(self, grid3):
+        # one tie of strong data: with two draws both extremal extensions are one preorder, measured at 0 below the
+        # ceiling 0.5; twelve draws, some ranking 2 or 6 above the other, reach it
+        e, c = dataset(grid3, [(2, 6, (2, 6))], "strong")
+        r = revealed_relation(e, c, "strong")
+        assert grid3.distance_values[rationalize_module._diameter_ceiling(r.condensation, grid3)] == 0.5
+        assert diameter_estimate(e, c, "all", num_samples=2, seed=0) == DiameterResult(0.0, "sampled", 1)
+        assert diameter_estimate(e, c, "all", num_samples=12, seed=3) == DiameterResult(0.5, "sampled", 11)
 
 
 class TestResultJson:

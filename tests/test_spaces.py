@@ -265,6 +265,16 @@ class TestGrid:
         assert np.allclose(g.distance_matrix, g.distance_matrix.T)
         assert np.allclose(np.diag(g.distance_matrix), 0.0)
 
+    @pytest.mark.parametrize("side, count", [(4, 6), (12, 28), (24, 63)])
+    def test_one_radius_per_distance(self, side, count):
+        # a grid of side k has k distances, 0 to 1 in steps of 1 / (k - 1); float rounding makes `count` distinct
+        # values of them, and the radii keep the least of each distance's copies
+        g = make_grid_euclidean(2, side, (0.0, 1.0))
+        values = np.unique(g.distance_matrix)
+        assert len(values) == count
+        copies = [values[np.abs(values - step / (side - 1)) < 1e-12] for step in range(side)]
+        assert g.distance_values.tolist() == [float(group.min()) for group in copies]
+
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ConfigurationError):
             make_grid_euclidean(0, 3, (0.0, 1.0))
