@@ -222,34 +222,30 @@ def _least_radius(space: OrderedSpace, covered, start: int = 0) -> int:
 _GRAPH_CHUNK = 2048  # graphs per `_dilate` product in `_graph_diameter`: bounds its working memory
 
 
-def _graph_diameter(space: OrderedSpace, stack: np.ndarray, as_graphs: bool = False) -> float:
-    """Largest Hausdorff distance between two graphs of a (K, n, n) boolean stack or (K, n) rank rows.
+def _graph_diameter(space: OrderedSpace, rows: np.ndarray, as_graphs: bool = False) -> float:
+    """Largest Hausdorff distance between the graphs of (K, n) rank rows.
 
     Two graphs are within r of each other when each lies in the other's
-    r-dilation, so the largest pairwise distance is the least radius at
-    which every graph's dilation covers the union of the stack. Distances
-    take only the values in `space.distance_values`. An item's coverage only
-    grows with the radius, so that least radius is the largest of the items'
-    own least radii, and one fold over the items finds it: the first item
-    bisects (`_least_radius`), and each later one is tested once, at the
-    running best, and bisects above it only if it fails there. Rank rows
-    test coverage on their envelopes in O(n^2) a test; rank rows
-    `as_graphs` are tested as a boolean stack is, by `_dilate`'s O(n^3)
-    product, a chunk of `_GRAPH_CHUNK` graphs per item. The exact diameter
-    passes its rows so: it measures up to hundreds of thousands of
-    candidates, on at most 8 points. Graphs are built and dilated a chunk at
-    a time, so the working memory does not grow with K.
+    r-dilation, so the largest pairwise distance is the least value of
+    `space.distance_values` at which every graph's dilation covers the union
+    of all of them. Coverage only grows with the radius, so one fold over
+    the items finds it: the first item bisects (`_least_radius`), and each
+    later one is tested once, at the running best, and bisects above it only
+    if it fails there. A row tests its envelopes in O(n^2). `as_graphs`
+    tests chunks of `_GRAPH_CHUNK` graphs by `_dilate`'s O(n^3) product,
+    each built when tested, so the working memory does not grow with K: the
+    exact diameter measures so its up to hundreds of thousands of candidates
+    on at most 8 points.
     """
-    if stack.ndim == 3 or as_graphs:
-        build = (lambda rows: rows[:, :, None] >= rows[:, None, :]) if stack.ndim == 2 else (lambda chunk: chunk)
-        items = [stack[start:start + _GRAPH_CHUNK] for start in range(0, len(stack), _GRAPH_CHUNK)]
-        union = reduce(np.logical_or, (build(chunk).any(axis=0) for chunk in items))
+    if as_graphs:
+        items = [rows[start:start + _GRAPH_CHUNK] for start in range(0, len(rows), _GRAPH_CHUNK)]
+        union = reduce(np.logical_or, ((chunk[:, :, None] >= chunk[:, None, :]).any(axis=0) for chunk in items))
 
         def covers(chunk, radius):
-            return not (union & ~_dilate(space, radius, build(chunk))).any()
+            return not (union & ~_dilate(space, radius, chunk[:, :, None] >= chunk[:, None, :])).any()
     else:
-        items = stack
-        union = reduce(np.logical_or, (row[:, None] >= row[None, :] for row in stack))
+        items = rows
+        union = reduce(np.logical_or, (row[:, None] >= row[None, :] for row in rows))
 
         def covers(row, radius):
             hi, lo = _envelopes(space, radius, row)
@@ -294,7 +290,8 @@ def closed_convergence_distance(p, q) -> float:
     the distance is one of the space's point distances: the diameter of the
     two-graph set, found by a threshold search. Two Preferences compare on
     rank envelopes (`_distance_to`), so neither graph is built. Other
-    relations take the matrix product of `_graph_diameter`.
+    relations are within a radius of each other when each lies in the
+    other's `_dilate`.
     Raises DomainError for relations on different spaces or an empty graph.
     """
     if isinstance(p, Preference) and isinstance(q, Preference):
@@ -307,7 +304,9 @@ def closed_convergence_distance(p, q) -> float:
         raise DomainError("closed convergence distance needs nonempty relations")
     if np.array_equal(p.matrix, q.matrix):
         return 0.0
-    return _graph_diameter(p.space, stack)
+    # each graph against the other's dilation, in one product
+    radius = _least_radius(p.space, lambda r: not (stack[::-1] & ~_dilate(p.space, r, stack)).any())
+    return float(p.space.distance_values[radius])
 
 
 def li_ls_limit(seq, radius_schedule, tail_starts=None):

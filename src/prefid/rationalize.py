@@ -237,6 +237,14 @@ class _Condensation:
     extension built around it stays between L and U. For the same reason no two rationalizations lie farther
     apart than h(U -> L), U being `upper`; the sampled diameter stops its search at that ceiling (see
     `_relation_diameter`).
+
+    Everything past the arcs comes from one pass over them in their stored order (`_walk`), made on first read.
+    SciPy closes the strong components in reverse topological order (Tarjan 1972, in Pearce's variant), so every
+    arc runs from a higher id to a lower one; sorted by head, the arcs out of a component all come before the arcs
+    into it, and its sets are final before an arc into it reads them. The pass keeps four bitsets a component,
+    plain ints with bit d for component d: its reach (itself included), its strict reach, the reach below its
+    heads, and its strict neighbours. L and S unpack the first two; an arc covers unless its head lies in the
+    third, and the sampler reads the covers (`above`, `num_lower_covers`) and the neighbours (`strict_neighbours`).
     """
 
     labels: np.ndarray            # point index -> component id
@@ -246,95 +254,66 @@ class _Condensation:
     arc_strict: np.ndarray        # strictly when some strict edge gives the arc
     consistent: bool              # no strict edge joins two points of one component
 
-    def _by_tail(self) -> tuple[np.ndarray, list[int]]:
-        # the arcs ordered by tail, and the bounds of each component's run in that order
-        order = np.argsort(self.arc_u, kind="stable")
-        return order, np.searchsorted(self.arc_u[order], np.arange(self.num_comps + 1)).tolist()
-
-    def _cover_walk(self) -> tuple[np.ndarray, np.ndarray]:
-        """(`down`, `covering`), from one walk of the components by ascending id.
-
-        Each component's row of `down` is its heads' rows with the heads themselves; an arc (u, v) covers unless
-        v lies in the row of another head of u. SciPy closes the strong components in reverse topological order
-        (Tarjan 1972, in Pearce's variant), so every arc runs from a higher id to a lower one and a component's
-        heads are walked before it. Each reader caches only its own half: the sampler's condensations never hold
-        the reach, and the far extension's never hold the mask.
-        """
-        by_tail, bounds = self._by_tail()
-        heads = self.arc_v[by_tail]
-        down = np.zeros((self.num_comps, self.num_comps), dtype=bool)
-        keep = np.empty(len(heads), dtype=bool)
-        for comp in range(self.num_comps):
-            lo, hi = bounds[comp], bounds[comp + 1]
-            below = down[heads[lo:hi]].any(axis=0)
-            keep[lo:hi] = ~below[heads[lo:hi]]
-            below[heads[lo:hi]] = True
-            down[comp] = below
-        return down, keep[np.argsort(by_tail)]
-
     @cached_property
-    def down(self) -> np.ndarray:
-        """(num_comps, num_comps) bool component reach: [c, d] iff a path of arcs runs from c to another d."""
-        return self._cover_walk()[0]
+    def _walk(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        # (reach, strict reach, reach below the heads, strict neighbours) of each component, from one pass
+        one = [1 << comp for comp in range(self.num_comps)]
+        reach, strict, below, near = one.copy(), [0] * self.num_comps, [0] * self.num_comps, [0] * self.num_comps
+        for u, v, is_strict in zip(*(memoryview(a) for a in (self.arc_u, self.arc_v, self.arc_strict))):
+            reach[u] |= reach[v]
+            below[u] |= reach[v] ^ one[v]
+            if is_strict:
+                strict[u] |= reach[v]
+                near[u] |= one[v]
+                near[v] |= one[u]
+            else:
+                strict[u] |= strict[v]
+        return reach, strict, below, near
 
-    @cached_property
-    def covering(self) -> np.ndarray:
-        """Mask of the covering arcs, the ones no longer path implies: the transitive reduction."""
-        return self._cover_walk()[1]
+    def _over_points(self, bitsets: list[int]) -> np.ndarray:
+        # (n, n) bool: [x, y] iff the bitset of x's component holds y's component
+        width = (self.num_comps + 7) // 8
+        packed = np.frombuffer(b"".join(bits.to_bytes(width, "little") for bits in bitsets), dtype=np.uint8)
+        comps = np.unpackbits(packed.reshape(self.num_comps, width), axis=1, count=self.num_comps, bitorder="little")
+        return comps.view(bool)[np.ix_(self.labels, self.labels)]
 
     @cached_property
     def closure(self) -> np.ndarray:
         """L over the points, (n, n) bool: [x, y] iff a path of edges runs from x to y; x reaches itself."""
-        reach = self.down | np.eye(self.num_comps, dtype=bool)
-        return reach[np.ix_(self.labels, self.labels)]
+        return self._over_points(self._walk[0])
 
     @cached_property
     def strict_closure(self) -> np.ndarray:
-        """S over the points, (n, n) bool: [x, y] iff a path of edges from x to y crosses a strict arc.
-
-        The strict reach of the components is `down`'s walk again: a row is its heads' rows, and the reach of each
-        strict head with the head itself.
-        """
-        by_tail, bounds = self._by_tail()
-        heads, strict = self.arc_v[by_tail], self.arc_strict[by_tail]
-        down, reach = self.down, np.zeros((self.num_comps, self.num_comps), dtype=bool)
-        for comp in range(self.num_comps):
-            lo, hi = bounds[comp], bounds[comp + 1]
-            over = heads[lo:hi][strict[lo:hi]]
-            below = reach[heads[lo:hi]].any(axis=0) | down[over].any(axis=0)
-            below[over] = True
-            reach[comp] = below
-        return reach[np.ix_(self.labels, self.labels)]
+        """S over the points, (n, n) bool: [x, y] iff a path of edges from x to y crosses a strict arc."""
+        return self._over_points(self._walk[1])
 
     @property
     def upper(self) -> np.ndarray:
         """U over the points, (n, n) bool: the complement of S's transpose, every pair a rationalization may hold.
 
-        Built on each read from the cached S, since each reader reads it once; a cached U would also widen the
-        attribute dict of every condensation, the sampler's included.
+        Built on each read from the cached S, since each reader reads it once.
         """
         return ~self.strict_closure.T
 
     @cached_property
     def above(self) -> list[list[int]]:
-        # above[cv] = the components cu of the covering arcs into cv, ascending; they place after cv
-        bounds = np.searchsorted(self.arc_v[self.covering], np.arange(self.num_comps + 1)).tolist()
-        tails = self.arc_u[self.covering].tolist()
-        return [tails[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        # above[cv] = the components cu of the covering arcs into cv, ascending; they place after cv. An arc covers
+        # unless its head lies below another head of its tail
+        below, above = self._walk[2], [[] for _ in range(self.num_comps)]
+        for u, v in zip(memoryview(self.arc_u), memoryview(self.arc_v)):
+            if not below[u] >> v & 1:
+                above[v].append(u)
+        return above
 
     @cached_property
     def num_lower_covers(self) -> list[int]:
         # how many components each component covers: the ones it waits for in `_sample_ranks`
-        return np.bincount(self.arc_u[self.covering], minlength=self.num_comps).tolist()
+        return np.bincount([u for tails in self.above for u in tails], minlength=self.num_comps).tolist()
 
     @cached_property
-    def strict_near(self) -> list[set[int]]:
-        # components joined to each component by a strict arc, either way
-        near = [set() for _ in range(self.num_comps)]
-        for cu, cv in zip(self.arc_u[self.arc_strict].tolist(), self.arc_v[self.arc_strict].tolist()):
-            near[cu].add(cv)
-            near[cv].add(cu)
-        return near
+    def strict_neighbours(self) -> list[int]:
+        # bitset of the components joined to each component by a strict arc, either way
+        return self._walk[3]
 
 
 def _condense(r: RevealedRelation) -> _Condensation:
@@ -547,17 +526,17 @@ def _sample_ranks(cond: _Condensation, words: _RawWords, merge_prob: float) -> n
     component a point, so the row is dense as drawn.
     """
     integers, random = words.integers, words.random
-    strict_near, above = cond.strict_near, cond.above
+    near, above = cond.strict_neighbours, cond.above
     remaining = list(cond.num_lower_covers)
     ready = [comp for comp, count in enumerate(remaining) if count == 0]
     levels = [0] * cond.num_comps
-    block, level = [], -1
+    block, level = 0, -1  # the bitset of the components in the current level
     while ready:
         comp = ready.pop(integers(len(ready)) if len(ready) > 1 else 0)
-        if block and random() < merge_prob and strict_near[comp].isdisjoint(block):
-            block.append(comp)
+        if block and random() < merge_prob and not near[comp] & block:
+            block |= 1 << comp
         else:
-            block, level = [comp], level + 1
+            block, level = 1 << comp, level + 1
         levels[comp] = level
         for waiter in above[comp]:
             remaining[waiter] -= 1

@@ -33,6 +33,7 @@ from prefid import (
     from_points,
     from_utility,
     generate_choices,
+    generator_values,
     make_aa_acts,
     make_dated_rewards,
     make_grid_euclidean,
@@ -559,10 +560,18 @@ def oracle_sample(r, rng, merge_prob):
     return [levels[comp] for comp in cond.labels.tolist()]
 
 
-# under another numbering the cover walk would keep extra arcs, which the sampler reads with the same draws
-SCIPY_NUMBERING = ("a condensation arc runs from a lower component id to a higher one: the cover walk, the extremal "
-                   "ranks and every seeded pin depend on SciPy numbering strong components in reverse topological "
-                   "order")
+def assert_covers_are_the_reduction(cond):
+    # the covers `above` lists, by head and then by tail, are the transitive reduction of the arcs, each once
+    arcs = list(zip(cond.arc_u.tolist(), cond.arc_v.tolist()))
+    covers = [(u, v) for v, tails in enumerate(cond.above) for u in tails]
+    assert covers == sorted(naive_transitive_reduction(cond.num_comps, arcs), key=lambda arc: arc[::-1])
+
+
+# under another numbering the pass over the arcs would read a component's reach before it is final and keep extra
+# covers, which the sampler reads with the same draws
+SCIPY_NUMBERING = ("a condensation arc runs from a lower component id to a higher one: the closures, the covers, the "
+                   "extremal ranks and every seeded pin depend on SciPy numbering strong components in reverse "
+                   "topological order")
 
 
 class TestCoverWalk:
@@ -583,9 +592,7 @@ class TestCoverWalk:
         r = revealed_relation(*restrict(e, c, data.draw(st.integers(1, len(e)))), mode, monotone=monotone)
         cond = r.condensation
         assert (cond.arc_v < cond.arc_u).all(), SCIPY_NUMBERING
-        arcs = list(zip(cond.arc_u.tolist(), cond.arc_v.tolist()))
-        covers = {arc for arc, keep in zip(arcs, cond.covering.tolist()) if keep}
-        assert covers == naive_transitive_reduction(cond.num_comps, arcs)
+        assert_covers_are_the_reduction(cond)
         seed, merge_prob = data.draw(st.integers(0, 2**32)), data.draw(st.sampled_from([0.0, 0.3, 0.5, 0.9]))
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for _ in range(3):
@@ -599,19 +606,42 @@ class TestClosures:
     @given(st.data())
     def test_closures_match_path_search(self, data):
         # free picks on spaces of at most 7 points, under every class and mode; S is read only on consistent data,
-        # where no strict edge joins two points of one component. The cover walk that builds the reach keeps the
-        # transitive reduction
+        # where no strict edge joins two points of one component. The pass that builds the reach keeps the
+        # transitive reduction as covers
         g = data.draw(st.sampled_from([None, FAR_SPACES["simplex3x2"]]))
         e, c, monotone = draw_tiled_data(data, 7, g)
-        r = revealed_relation(e, c, c.mode, monotone=monotone)
+        self.assert_walk_matches_path_search(revealed_relation(e, c, c.mode, monotone=monotone))
+
+    @staticmethod
+    def assert_walk_matches_path_search(r):
         cond = r.condensation
         closure, strict_closure = naive_closures(r)
         assert np.array_equal(cond.closure, closure)
         if cond.consistent:
             assert np.array_equal(cond.strict_closure, strict_closure)
-        arcs = list(zip(cond.arc_u.tolist(), cond.arc_v.tolist()))
-        covers = {arc for arc, keep in zip(arcs, cond.covering.tolist()) if keep}
-        assert covers == naive_transitive_reduction(cond.num_comps, arcs)
+        assert_covers_are_the_reduction(cond)
+
+    @pytest.mark.parametrize("num_points", [8, 9, 64, 65])
+    @pytest.mark.parametrize("mode", ["strong", "weak"])
+    def test_chains_wider_than_a_byte(self, num_points, mode):
+        # a strict truth leaves each point of a chain its own component, so a component's bitsets take 1, 2, 8 or 9
+        # bytes; a shuffled prefix of 3 pairs a point leaves covers between points that are not neighbours
+        space = from_points(np.arange(float(num_points)).reshape(-1, 1))
+        e = enumerate_pairs(dense_subset(space), "shuffled", 5)
+        truth = from_utility(space, np.arange(float(num_points)))
+        c = generate_choices(truth, e, mode=mode, tie_policy="both" if mode == "strong" else "first")
+        r = revealed_relation(*restrict(e, c, 3 * num_points), mode)
+        assert r.condensation.num_comps == num_points
+        self.assert_walk_matches_path_search(r)
+
+    def test_readme_prefix_wider_than_a_byte(self):
+        # the README's 12x12 data at k = 4,096 under strict_monotone: 119 components, strict and weak arcs
+        space = make_grid_euclidean(2, 12, (0.0, 1.0))
+        gen = from_utility(space, generator_values(space, {"formula": "cobb_douglas_mix", "params": {"mix": 0.1}}))
+        e = enumerate_pairs(dense_subset(space))
+        r = revealed_relation(*restrict(e, generate_choices(gen, e, "strong"), 4096), "strong", monotone="strict")
+        assert r.condensation.num_comps == 119 and 0 < r.condensation.arc_strict.sum() < len(r.condensation.arc_strict)
+        self.assert_walk_matches_path_search(r)
 
 
 def whole_order_relation(r, monotone):
